@@ -10,14 +10,14 @@ import argparse
 import numpy as np
 
 from pbes.benchmark import BLOB_BUDGET_SWEEP, BLOB_SEEDS, final_avg_accuracy, run_mode
+from pbes.sampling import SAMPLER_NAMES
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--budgets", type=int, nargs="+", default=list(BLOB_BUDGET_SWEEP))
     parser.add_argument("--seeds", type=int, default=len(BLOB_SEEDS))
-    parser.add_argument("--sampler", default="pbes",
-                        choices=("pbes", "randp", "herding", "random"))
+    parser.add_argument("--sampler", default="pbes", choices=SAMPLER_NAMES)
     args = parser.parse_args()
 
     print(f"sampler={args.sampler}, {args.seeds} seeds per budget")

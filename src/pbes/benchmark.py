@@ -10,8 +10,6 @@ exemplar quality affects retention.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .harness import ExperimentConfig, run_experiment
 from .metrics import MetricsRow
 from .model import LossConfig
@@ -85,7 +83,3 @@ def last_accuracy(rows: list[MetricsRow]) -> float:
 
 def final_avg_accuracy(rows: list[MetricsRow]) -> float:
     return rows[-1].avg_accuracy
-
-
-def vary_budget(config: ExperimentConfig, budget: int) -> ExperimentConfig:
-    return replace(config, memory_budget=budget)

@@ -9,17 +9,20 @@ a PBIM directory tree).
 Exit codes are a stable scripting contract: 0 success, 2 validation error,
 3 I/O error, 4 numerical failure. Every command is deterministic given its
 config and seed and never mutates its inputs. The JSON config is strictly
-validated: unknown keys are rejected by name.
+validated against the config dataclasses: unknown keys are rejected by name
+and values are type-checked, never coerced.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
 import shutil
 import sys
+import typing
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,7 +39,6 @@ from .augmentation import (
 from .errors import FileFormatError, NumericalError, ValidationError
 from .harness import (
     EXPERIMENT_MODES,
-    AugmentSettings,
     ExperimentConfig,
     StreamFiles,
     decision_flags,
@@ -44,8 +46,7 @@ from .harness import (
     run_experiment,
     sweep_budgets,
 )
-from .metrics import format_metrics_rows
-from .model import LossConfig
+from .metrics import write_metrics_csv
 from .numerics import RngState
 from .sampling import SAMPLER_NAMES, sample
 from .stream import (
@@ -58,10 +59,18 @@ from .stream import (
 )
 
 
-def _reject_unknown(section, allowed: set[str], where: str) -> None:
+# JSON key of each config field whose key differs from the field name.
+_JSON_KEYS = {"augment": "augmentation"}
+# The stream section is a tagged union: exactly one of these keys.
+_STREAM_KINDS = {"synthetic": SyntheticStreamSpec, "files": StreamFiles}
+_TYPE_NAMES = {bool: "bool", int: "int", float: "a finite number", str: "str"}
+
+
+def _reject_unknown(section, allowed, where: str) -> None:
+    where = where or "config root"
     if not isinstance(section, dict):
         raise ValidationError(f"{where} must be a JSON object")
-    unknown = sorted(set(section) - allowed)
+    unknown = sorted(set(section) - set(allowed))
     if unknown:
         raise ValidationError(
             f"unknown key{'s' if len(unknown) > 1 else ''} "
@@ -69,153 +78,76 @@ def _reject_unknown(section, allowed: set[str], where: str) -> None:
         )
 
 
-def _parse_loss(section: dict) -> LossConfig:
-    defaults = {
-        "temperature": 2.0,
-        "beta": 0.5,
-        "learning_rate": 0.05,
-        "epochs": 300,
-        "batch_size": 0,
-        "distill_scope": "all",
-        "ce_shared_temperature": False,
-    }
-    _reject_unknown(section, set(defaults), "'loss'")
-    merged = {**defaults, **section}
-    return LossConfig(
-        temperature=float(merged["temperature"]),
-        beta=float(merged["beta"]),
-        learning_rate=float(merged["learning_rate"]),
-        epochs=int(merged["epochs"]),
-        batch_size=int(merged["batch_size"]),
-        distill_scope=str(merged["distill_scope"]),
-        ce_shared_temperature=bool(merged["ce_shared_temperature"]),
-    )
+def _from_json(cls, section, where: str):
+    """Build dataclass ``cls`` from a JSON object, checking every value's type.
+
+    Unknown keys are rejected by name, fields without a default are required
+    keys, and absent keys take the dataclass default. ``where`` is the key
+    path of ``section`` ("" at the document root), used in error messages.
+    """
+    fields = {_JSON_KEYS.get(f.name, f.name): f for f in dataclasses.fields(cls)}
+    _reject_unknown(section, fields, where)
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for key, f in fields.items():
+        path = f"{where}.{key}" if where else key
+        if key in section:
+            values[f.name] = _check(hints[f.name], section[key], path)
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ValidationError(f"missing required key {path!r}")
+    return cls(**values)
 
 
-def _parse_augmentation(section: dict) -> AugmentSettings:
-    defaults = {
-        "enabled": False,
-        "region_height": None,
-        "region_width": None,
-        "mode": "deterministic",
-        "tau": 0.25,
-    }
-    _reject_unknown(section, set(defaults), "'augmentation'")
-    merged = {**defaults, **section}
-    return AugmentSettings(
-        enabled=bool(merged["enabled"]),
-        region_height=None
-        if merged["region_height"] is None
-        else int(merged["region_height"]),
-        region_width=None
-        if merged["region_width"] is None
-        else int(merged["region_width"]),
-        mode=str(merged["mode"]),
-        tau=float(merged["tau"]),
-    )
+def _check(hint, value, where: str):
+    """``value`` as type ``hint``; a JSON value of another type is an error.
 
-
-def _parse_synthetic(section: dict) -> SyntheticStreamSpec:
-    defaults = {
-        "classes": None,
-        "tasks": None,
-        "class_size": 24,
-        "imbalance_ratio": 1.0,
-        "blob_std": 1.0,
-        "layout_radius": 6.0,
-        "outlier_fraction": 0.0,
-        "outlier_distance": 20.0,
-        "dims": 8,
-        "test_fraction": 0.2,
-        "per_class_sizes": None,
-    }
-    _reject_unknown(section, set(defaults), "'stream.synthetic'")
-    for key in ("classes", "tasks"):
-        if key not in section:
-            raise ValidationError(f"missing required key {key!r} in 'stream.synthetic'")
-    merged = {**defaults, **section}
-    sizes = merged["per_class_sizes"]
-    return SyntheticStreamSpec(
-        classes=int(merged["classes"]),
-        tasks=int(merged["tasks"]),
-        class_size=int(merged["class_size"]),
-        imbalance_ratio=float(merged["imbalance_ratio"]),
-        blob_std=float(merged["blob_std"]),
-        layout_radius=float(merged["layout_radius"]),
-        outlier_fraction=float(merged["outlier_fraction"]),
-        outlier_distance=float(merged["outlier_distance"]),
-        dims=int(merged["dims"]),
-        test_fraction=float(merged["test_fraction"]),
-        per_class_sizes=None if sizes is None else tuple(int(s) for s in sizes),
-    )
-
-
-def _parse_stream(section: dict, base_dir: Path):
-    _reject_unknown(section, {"synthetic", "files"}, "'stream'")
-    if ("synthetic" in section) == ("files" in section):
-        raise ValidationError("'stream' needs exactly one of 'synthetic' or 'files'")
-    if "synthetic" in section:
-        return _parse_synthetic(section["synthetic"])
-    files = section["files"]
-    _reject_unknown(files, {"manifest"}, "'stream.files'")
-    if "manifest" not in files:
-        raise ValidationError("missing required key 'manifest' in 'stream.files'")
-    return StreamFiles(manifest=str(base_dir / files["manifest"]))
+    bool takes only true/false, int rejects floats and bools, float takes
+    ints (but not NaN or infinities), ``X | None`` takes null, and
+    ``tuple[X, ...]`` takes a list. Nothing is coerced.
+    """
+    if dataclasses.is_dataclass(hint):
+        return _from_json(hint, value, where)
+    if hint == SyntheticStreamSpec | StreamFiles:
+        _reject_unknown(value, _STREAM_KINDS, where)
+        if len(value) != 1:
+            raise ValidationError(f"{where} needs exactly one of 'synthetic' or 'files'")
+        ((kind, section),) = value.items()
+        return _from_json(_STREAM_KINDS[kind], section, f"{where}.{kind}")
+    args = typing.get_args(hint)
+    if type(None) in args:
+        return None if value is None else _check(args[0], value, where)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ValidationError(f"{where} must be a list, got {value!r}")
+        return tuple(_check(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    if hint is float:
+        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+        value = float(value) if ok else value
+    else:
+        ok = type(value) is hint
+    if not ok:
+        raise ValidationError(f"{where} must be {_TYPE_NAMES[hint]}, got {value!r}")
+    return value
 
 
 def parse_experiment_config(doc: dict, base_dir: Path) -> ExperimentConfig:
-    """Strictly validate a run config document; unknown keys are errors."""
-    try:
-        return _parse_experiment_config(doc, base_dir)
-    except ValidationError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"invalid config value: {exc}") from exc
+    """Strictly validate a run config document; unknown keys are errors.
 
-
-def _parse_experiment_config(doc: dict, base_dir: Path) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise ValidationError("config root must be a JSON object")
-    allowed = {
-        "seed",
-        "mode",
-        "sampler",
-        "randp_pool",
-        "memory_budget",
-        "classifier",
-        "loss",
-        "augmentation",
-        "stream",
-    }
-    _reject_unknown(doc, allowed, "config root")
-    if "seed" not in doc:
-        raise ValidationError("missing required key 'seed' (master seed)")
-    if "stream" not in doc:
-        raise ValidationError("missing required key 'stream'")
-    sampler = str(doc.get("sampler", "pbes"))
-    if sampler not in SAMPLER_NAMES:
-        raise ValidationError(f"unknown sampler {sampler!r}")
-    return ExperimentConfig(
-        seed=int(doc["seed"]),
-        stream=_parse_stream(doc["stream"], base_dir),
-        mode=str(doc.get("mode", "method")),
-        sampler=sampler,
-        randp_pool=None if doc.get("randp_pool") is None else int(doc["randp_pool"]),
-        memory_budget=int(doc.get("memory_budget", 0)),
-        classifier=str(doc.get("classifier", "argmax")),
-        loss=_parse_loss(doc.get("loss", {})),
-        augment=_parse_augmentation(doc.get("augmentation", {})),
-    )
+    A file-backed stream's manifest path resolves against ``base_dir``.
+    """
+    config = _from_json(ExperimentConfig, doc, "")
+    if isinstance(config.stream, StreamFiles):
+        manifest = str(base_dir / config.stream.manifest)
+        config = replace(config, stream=StreamFiles(manifest=manifest))
+    return config
 
 
 def _load_json(path: Path) -> dict:
     try:
-        text = path.read_text(encoding="utf-8")
+        return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or UTF-8
         raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -308,7 +240,7 @@ def cmd_run(args) -> int:
     rows = run_experiment(config)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_bytes(format_metrics_rows(rows).encode("utf-8"))
+    write_metrics_csv(out_path, rows)
     _write_provenance(out_path, doc, config, [row.wall_ms for row in rows])
     print(f"wrote {len(rows)} task rows to {out_path}")
     return 0
@@ -334,7 +266,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_gen(args) -> int:
     doc = _load_json(Path(args.config))
-    spec = _parse_synthetic(doc)
+    spec = _from_json(SyntheticStreamSpec, doc, "")
     stream = generate_synthetic_stream(spec, args.seed)
     manifest = write_stream(Path(args.out), stream)
     print(f"wrote {len(stream)} tasks under {manifest.parent}")
@@ -479,9 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region-height", type=int, default=None)
     p.add_argument("--region-width", type=int, default=None)
     p.add_argument(
-        "--search-mode", choices=("deterministic", "randomized"), default="deterministic"
+        "--search-mode", choices=("deterministic", "randomized"), default=AugmentParams.mode
     )
-    p.add_argument("--tau", type=float, default=0.25)
+    p.add_argument("--tau", type=float, default=AugmentParams.tau)
     p.set_defaults(func=cmd_augment)
     return parser
 

@@ -25,7 +25,7 @@ import numpy as np
 from .augmentation import AugmentParams, augment_class, balance_plan
 from .errors import ValidationError
 from .memory import RehearsalMemory, quotas_for, rebalance_memory
-from .metrics import MetricsRow, evaluate
+from .metrics import MetricsRow, evaluate, format_metrics_rows
 from .model import (
     LossConfig,
     SoftmaxModel,
@@ -35,29 +35,17 @@ from .model import (
     train_task,
 )
 from .numerics import RngState
-from .sampling import ExemplarSelection, sample
+from .sampling import SAMPLER_NAMES, ExemplarSelection, sample
 from .stream import SyntheticStreamSpec, TaskStream, generate_synthetic_stream, read_stream
 
 EXPERIMENT_MODES = ("finetune", "method", "upperbound")
 
 
 @dataclass(frozen=True)
-class AugmentSettings:
+class AugmentSettings(AugmentParams):
     """Whether and how to balance class sizes inside each incoming task."""
 
     enabled: bool = False
-    region_height: int | None = None
-    region_width: int | None = None
-    mode: str = "deterministic"
-    tau: float = 0.25
-
-    def params(self) -> AugmentParams:
-        return AugmentParams(
-            region_height=self.region_height,
-            region_width=self.region_width,
-            mode=self.mode,
-            tau=self.tau,
-        )
 
 
 @dataclass(frozen=True)
@@ -80,7 +68,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in EXPERIMENT_MODES:
             raise ValidationError(f"unknown experiment mode {self.mode!r}")
-        if self.sampler not in ("pbes", "randp", "herding", "random"):
+        if self.sampler not in SAMPLER_NAMES:
             raise ValidationError(f"unknown sampler {self.sampler!r}")
         if self.randp_pool is not None:
             if self.sampler != "randp":
@@ -119,7 +107,7 @@ def _augment_task(train, class_ids, settings: AugmentSettings, rng: RngState):
         rows = train.rows_for(cid)
         images = [row.reshape(1, 1, -1) for row in rows]
         generated = augment_class(
-            images, count, rng.derive("class", cid), params=settings.params()
+            images, count, rng.derive("class", cid), params=settings
         )
         extra_points.extend(img.reshape(-1) for img in generated)
         extra_labels.extend([cid] * count)
@@ -284,12 +272,8 @@ def format_sweep_rows(
     """One metrics block per budget in a single CSV, rows ordered by (M, task)."""
     lines = [SWEEP_HEADER]
     for budget, rows in results:
-        for row in rows:
-            wall = 0.0 if deterministic_timing else row.wall_ms
-            lines.append(
-                f"{budget},{row.task_index},{row.accuracy:.6f},{row.avg_accuracy:.6f},"
-                f"{row.macro_f1:.6f},{row.gmean:.6f},{wall:.6f}"
-            )
+        body = format_metrics_rows(rows, deterministic_timing).splitlines()[1:]
+        lines.extend(f"{budget},{line}" for line in body)
     return "\n".join(lines) + "\n"
 
 

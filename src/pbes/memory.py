@@ -111,5 +111,8 @@ def rebalance_memory(
         for sc, quota in zip(arrival, quotas)
     ]
     out = RehearsalMemory(budget=budget, classes=rebalanced)
-    assert out.total_stored() <= budget
+    if out.total_stored() > budget:
+        raise ValidationError(
+            f"memory holds {out.total_stored()} exemplars over its budget of {budget}"
+        )
     return out

@@ -63,11 +63,7 @@ class SoftmaxModel:
         )
 
 
-# A teacher is a frozen copy of the previous-task model.
-TeacherSnapshot = SoftmaxModel
-
-
-def make_teacher(model: SoftmaxModel) -> TeacherSnapshot:
+def make_teacher(model: SoftmaxModel) -> SoftmaxModel:
     """Deep-copied snapshot of a model, safe against later mutation."""
     return SoftmaxModel(
         weights=model.weights.copy(),

@@ -71,6 +71,11 @@ class TaskStream:
                 )
             seen |= ids
             for split in (task.train, task.test):
+                if split.points.shape[1] != self.dims:
+                    raise ValidationError(
+                        f"task {i + 1} {split.split} split has {split.points.shape[1]} "
+                        f"features, task 1 has {self.dims}"
+                    )
                 stray = set(np.unique(split.labels)) - ids
                 if stray:
                     raise ValidationError(
@@ -109,8 +114,8 @@ class SyntheticStreamSpec:
     per_class_sizes: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.classes < 1 or self.tasks < 1:
-            raise ValidationError("need at least one class and one task")
+        if self.classes < 1 or self.tasks < 1 or self.dims < 1:
+            raise ValidationError("need at least one class, one task and one dimension")
         if self.classes % self.tasks != 0:
             raise ValidationError(
                 f"{self.classes} classes do not divide into {self.tasks} equal tasks"
@@ -222,13 +227,16 @@ def write_dataset_csv(path, dataset: LabeledDataset) -> None:
 
 
 def read_dataset_csv(path, split: str = "train") -> LabeledDataset:
-    """Read a `label,f0,...` CSV back into a dataset."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read a `label,f0,...` CSV back into a dataset; every value must be finite."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except ValueError as exc:  # not UTF-8, or a NUL in the path
+        raise FileFormatError(f"cannot read {path}: {exc}") from exc
     lines = [ln for ln in text.split("\n") if ln]
     if not lines:
         raise FileFormatError(f"{path}: empty dataset file")
     header = lines[0].split(",")
-    if header[0] != "label" or any(
+    if header[0] != "label" or len(header) < 2 or any(
         col != f"f{j}" for j, col in enumerate(header[1:])
     ):
         raise FileFormatError(f"{path}: bad dataset header {lines[0]!r}")
@@ -239,10 +247,16 @@ def read_dataset_csv(path, split: str = "train") -> LabeledDataset:
         if len(cells) != d + 1:
             raise FileFormatError(f"{path}:{ln_no}: expected {d + 1} columns")
         try:
-            labels.append(int(cells[0]))
-            points.append([float(c) for c in cells[1:]])
+            label = int(cells[0])
+            row = [float(c) for c in cells[1:]]
         except ValueError as exc:
             raise FileFormatError(f"{path}:{ln_no}: {exc}") from exc
+        if not -(2**63) <= label < 2**63:
+            raise FileFormatError(f"{path}:{ln_no}: label {label} out of range")
+        if not all(math.isfinite(x) for x in row):
+            raise FileFormatError(f"{path}:{ln_no}: non-finite value")
+        labels.append(label)
+        points.append(row)
     if not points:
         raise FileFormatError(f"{path}: dataset has no rows")
     return LabeledDataset(np.array(points), np.array(labels), split)
@@ -273,20 +287,36 @@ def write_stream(directory, stream: TaskStream) -> Path:
 
 
 def read_stream(manifest_path) -> TaskStream:
-    """Load a stream written by :func:`write_stream`."""
+    """Load a stream written by :func:`write_stream`.
+
+    The manifest needs a non-empty ``tasks`` list whose entries each give an
+    int list ``classes`` and string ``train``/``test`` paths.
+    """
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{manifest_path}: invalid JSON: {exc}") from exc
-    if not isinstance(manifest, dict) or "tasks" not in manifest:
-        raise FileFormatError(f"{manifest_path}: manifest needs a 'tasks' list")
+    except ValueError as exc:  # invalid JSON or UTF-8, or a NUL in the path
+        raise FileFormatError(f"{manifest_path}: cannot read manifest: {exc}") from exc
+    entries = manifest.get("tasks") if isinstance(manifest, dict) else None
+    if not isinstance(entries, list) or not entries:
+        raise FileFormatError(f"{manifest_path}: manifest needs a non-empty 'tasks' list")
     base = manifest_path.parent
     tasks = []
-    for entry in manifest["tasks"]:
+    for i, entry in enumerate(entries, start=1):
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("classes"), list)
+            and all(type(c) is int for c in entry["classes"])
+            and isinstance(entry.get("train"), str)
+            and isinstance(entry.get("test"), str)
+        ):
+            raise FileFormatError(
+                f"{manifest_path}: task {i} needs an int list 'classes' and "
+                f"string 'train' and 'test' file names"
+            )
         tasks.append(
             Task(
-                class_ids=tuple(int(c) for c in entry["classes"]),
+                class_ids=tuple(entry["classes"]),
                 train=read_dataset_csv(base / entry["train"], "train"),
                 test=read_dataset_csv(base / entry["test"], "test"),
             )

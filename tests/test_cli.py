@@ -1,11 +1,28 @@
+import contextlib
+import copy
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pbes
 from pbes.augmentation import read_pbim, write_pbim, write_pbsm
 from pbes.cli import main
-from pbes.stream import LabeledDataset, write_dataset_csv
+from pbes.stream import (
+    LabeledDataset,
+    SyntheticStreamSpec,
+    generate_synthetic_stream,
+    write_dataset_csv,
+    write_stream,
+)
 
 
 def run_cli(*argv):
@@ -227,9 +244,53 @@ class TestOverrides:
         assert run_cli("run", "--config", config, "--mode", "finetune",
                        "--out", tmp_path / "m.csv") == 2
 
-    def test_bad_value_type_is_validation_error(self, tmp_path):
-        config = minimal_config(tmp_path, memory_budget="lots")
+    @pytest.mark.parametrize(
+        "overrides, key_path",
+        [
+            pytest.param({"memory_budget": "lots"}, "memory_budget", id="budget_str"),
+            pytest.param({"memory_budget": True}, "memory_budget", id="budget_bool"),
+            pytest.param({"seed": 1.9}, "seed", id="seed_float"),
+            pytest.param(
+                {"augmentation": {"enabled": "false"}}, "augmentation.enabled",
+                id="enabled_str",
+            ),
+            pytest.param({"loss": {"epochs": 2.7}}, "loss.epochs", id="epochs_float"),
+            pytest.param(
+                {"loss": {"temperature": 10**400}}, "loss.temperature", id="float_overflow"
+            ),
+            pytest.param({"randp_pool": "3"}, "randp_pool", id="optional_int_str"),
+            pytest.param(
+                {"stream": {"synthetic": {"classes": 4, "tasks": 2,
+                                          "per_class_sizes": "1234"}}},
+                "stream.synthetic.per_class_sizes", id="sizes_str",
+            ),
+            pytest.param(
+                {"stream": {"synthetic": {"classes": 4, "tasks": 2,
+                                          "per_class_sizes": [9, 9, 9.5, 9]}}},
+                "stream.synthetic.per_class_sizes[2]", id="sizes_float_item",
+            ),
+            pytest.param(
+                {"stream": {"files": {"manifest": 7}}}, "stream.files.manifest",
+                id="manifest_int",
+            ),
+        ],
+    )
+    def test_bad_value_type_is_validation_error(self, tmp_path, capsys, overrides, key_path):
+        config = minimal_config(tmp_path, **overrides)
         assert run_cli("run", "--config", config, "--out", tmp_path / "m.csv") == 2
+        err = capsys.readouterr().err
+        assert f"error: {key_path} must be " in err
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_ints_accepted_for_floats(self, tmp_path):
+        outputs = []
+        for temperature in (2, 2.0):
+            loss = {"learning_rate": 0.001, "epochs": 40, "temperature": temperature}
+            config = minimal_config(tmp_path, loss=loss)
+            out = tmp_path / f"{temperature!r}.csv"
+            assert run_cli("run", "--config", config, "--out", out) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_non_object_section_is_validation_error(self, tmp_path):
         config = minimal_config(tmp_path, loss=[1, 2, 3])
@@ -246,11 +307,207 @@ class TestGen:
         for name in ("stream.json", "task_001_train.csv", "task_002_test.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_ill_typed_spec_value(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"classes": "x", "tasks": 2}))
+        assert run_cli("gen", "--config", spec_path, "--seed", 5,
+                       "--out", tmp_path / "o") == 2
+        assert "classes must be int, got 'x'" in capsys.readouterr().err
+
     def test_unknown_spec_key(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"classes": 4, "tasks": 2, "sigma": 1.0}))
         assert run_cli("gen", "--config", spec_path, "--seed", 5,
                        "--out", tmp_path / "o") == 2
+
+
+def file_stream_config(tmp_path):
+    """A run config over a small stream written as CSV files, and its manifest."""
+    spec = SyntheticStreamSpec(classes=4, tasks=2, class_size=12, dims=3)
+    manifest = write_stream(tmp_path / "data", generate_synthetic_stream(spec, 11))
+    config = minimal_config(tmp_path, stream={"files": {"manifest": "data/stream.json"}})
+    return config, manifest
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(lambda m: m["tasks"][0].pop("train"), "task 1 needs",
+                         id="task_without_train"),
+            pytest.param(lambda m: m.update(tasks=[]), "non-empty 'tasks' list",
+                         id="no_tasks"),
+            pytest.param(lambda m: m.update(tasks=5), "non-empty 'tasks' list",
+                         id="tasks_not_a_list"),
+            pytest.param(lambda m: m["tasks"][1].update(classes="ab"), "task 2 needs",
+                         id="classes_str"),
+            pytest.param(lambda m: m["tasks"][1].update(test=None), "task 2 needs",
+                         id="test_null"),
+        ],
+    )
+    def test_malformed_manifest_is_format_error(self, tmp_path, capsys, edit, message):
+        config, manifest = file_stream_config(tmp_path)
+        doc = json.loads(manifest.read_text())
+        edit(doc)
+        manifest.write_text(json.dumps(doc))
+        assert run_cli("run", "--config", config, "--out", tmp_path / "m.csv") == 3
+        err = capsys.readouterr().err
+        assert str(manifest) in err and message in err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_csv_cell_is_format_error(self, tmp_path, capsys, cell):
+        config, manifest = file_stream_config(tmp_path)
+        csv = manifest.parent / "task_002_test.csv"
+        lines = csv.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + "," + cell
+        csv.write_text("\n".join(lines) + "\n")
+        assert run_cli("run", "--config", config, "--out", tmp_path / "m.csv") == 3
+        assert f"{csv}:3: non-finite value" in capsys.readouterr().err
+
+    def test_out_of_range_csv_label_is_format_error(self, tmp_path, capsys):
+        config, manifest = file_stream_config(tmp_path)
+        csv = manifest.parent / "task_001_train.csv"
+        lines = csv.read_text().splitlines()
+        lines[1] = str(2**63) + "," + lines[1].split(",", 1)[1]
+        csv.write_text("\n".join(lines) + "\n")
+        assert run_cli("run", "--config", config, "--out", tmp_path / "m.csv") == 3
+        assert f"{csv}:2: label" in capsys.readouterr().err
+
+    def test_feature_count_mismatch_is_validation_error(self, tmp_path, capsys):
+        config, manifest = file_stream_config(tmp_path)
+        narrow = LabeledDataset(np.zeros((2, 2)), [2, 3], "test")
+        write_dataset_csv(manifest.parent / "task_002_test.csv", narrow)
+        assert run_cli("run", "--config", config, "--out", tmp_path / "m.csv") == 2
+        assert "task 2 test split has 2 features" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_io_error(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"seed": "\xe9"}')
+        assert run_cli("run", "--config", path, "--out", tmp_path / "m.csv") == 3
+
+
+# A valid config that reaches every config field; mutations start from it.
+FUZZ_CONFIG = {
+    "seed": 3,
+    "mode": "method",
+    "sampler": "randp",
+    "randp_pool": 4,
+    "memory_budget": 6,
+    "classifier": "ncm",
+    "loss": {"temperature": 2.0, "beta": 0.5, "learning_rate": 0.001, "epochs": 2,
+             "batch_size": 4, "distill_scope": "all", "ce_shared_temperature": False},
+    "augmentation": {"enabled": True, "region_height": 1, "region_width": 1,
+                     "mode": "randomized", "tau": 0.5},
+    "stream": {"synthetic": {"classes": 4, "tasks": 2, "class_size": 10,
+                             "imbalance_ratio": 2.0, "blob_std": 1.0,
+                             "layout_radius": 6.0, "outlier_fraction": 0.1,
+                             "outlier_distance": 20.0, "dims": 3, "test_fraction": 0.2,
+                             "per_class_sizes": [10, 8, 6, 4]}},
+}
+FUZZ_FILES_CONFIG = {**FUZZ_CONFIG, "stream": {"files": {"manifest": "data/stream.json"}}}
+# Replacement JSON values; ints stay <= 2 so that no mutated run trains long.
+FUZZ_VALUES = st.sampled_from([
+    None, True, False, -1, 0, 1, 2, 0.5, -1.5, 2.7, "", "x", "false", "\x00",
+    "finetune", "upperbound", "herding", "exemplars_only", "deterministic",
+    "task_001_train.csv", "missing.csv", [], [1, 2], ["a"], {}, {"extra": 1},
+])
+FUZZ_CELLS = st.sampled_from(
+    ["nan", "inf", "-Infinity", "1e999", "", "x", "7", "-0.0", "1e6", str(2**63)]
+)
+
+
+def _json_paths(doc, prefix=()):
+    """Key paths to every value in a JSON document, the root included."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _mutate_json(data, doc):
+    """``doc`` with one to three values replaced, keys deleted or keys added."""
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_json_paths(doc))))
+        value = data.draw(FUZZ_VALUES)
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "delete":
+            del parent[path[-1]]
+        elif action == "add" and isinstance(parent, dict):
+            parent[data.draw(st.sampled_from(["extra", "seed", "enabled", "dims"]))] = value
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+def _mutate_csv(data, path):
+    lines = path.read_text().split("\n")
+    row = data.draw(st.integers(0, len(lines) - 1))
+    cells = lines[row].split(",")
+    action = data.draw(st.sampled_from(["cell", "drop_cell", "add_cell", "drop_line"]))
+    if action == "cell":
+        cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(FUZZ_CELLS)
+    elif action == "drop_cell":
+        cells.pop()
+    elif action == "add_cell":
+        cells.append(data.draw(FUZZ_CELLS))
+    lines[row:row + 1] = [] if action == "drop_line" else [",".join(cells)]
+    path.write_text("\n".join(lines))
+
+
+@settings(max_examples=50, derandomize=True, database=None)
+@given(data=st.data(), target=st.sampled_from(["config", "files_config", "manifest", "csv"]))
+def test_mutated_inputs_end_in_documented_exit_codes(data, target):
+    """Malformed configs, manifests and CSVs end in exit 2, 3 or 4, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        spec = SyntheticStreamSpec(classes=4, tasks=2, class_size=10, dims=3)
+        manifest = write_stream(tmp / "data", generate_synthetic_stream(spec, 5))
+        config = FUZZ_CONFIG if target == "config" else FUZZ_FILES_CONFIG
+        if target in ("config", "files_config"):
+            config = _mutate_json(data, config)
+        elif target == "manifest":
+            doc = _mutate_json(data, json.loads(manifest.read_text()))
+            manifest.write_text(json.dumps(doc))
+        else:
+            names = sorted(p.name for p in manifest.parent.glob("*.csv"))
+            _mutate_csv(data, manifest.parent / data.draw(st.sampled_from(names)))
+        (tmp / "config.json").write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run_cli("run", "--config", tmp / "config.json", "--out", tmp / "m.csv")
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")
+
+
+def test_checks_hold_under_optimize_flag(tmp_path):
+    """Validation does not rest on assert: the exit codes hold under python -O."""
+    env = {**os.environ, "PYTHONPATH": str(Path(pbes.__file__).parents[1])}
+
+    def run_optimized(config):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "pbes.cli", "run", "--config", str(config),
+             "--out", str(tmp_path / "m.csv")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert "Traceback" not in proc.stderr
+        return proc.returncode
+
+    config, manifest = file_stream_config(tmp_path)
+    assert run_optimized(config) == 0
+    doc = json.loads(manifest.read_text())
+    doc["tasks"][0].pop("train")
+    manifest.write_text(json.dumps(doc))
+    assert run_optimized(config) == 3
+    assert run_optimized(minimal_config(tmp_path, seed=1.9)) == 2
 
 
 def make_class_dir(root, cid, images):
