@@ -178,6 +178,9 @@ def find_low_importance_region(
     return Region(top=top, left=left, height=region_height, width=region_width)
 
 
+SEARCH_MODES = ("deterministic", "randomized")
+
+
 @dataclass(frozen=True)
 class AugmentParams:
     """Region size and search mode for selective-cut generation.
@@ -190,6 +193,16 @@ class AugmentParams:
     region_width: int | None = None
     mode: str = "deterministic"
     tau: float = 0.25
+
+    def __post_init__(self):
+        if self.mode not in SEARCH_MODES:
+            raise ValidationError(f"unknown region search mode {self.mode!r}")
+        if not 0.0 <= self.tau <= 1.0:
+            raise ValidationError(f"tau must be in [0, 1], got {self.tau}")
+        for name in ("region_height", "region_width"):
+            size = getattr(self, name)
+            if size is not None and size < 1:
+                raise ValidationError(f"{name} must be null or >= 1, got {size}")
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import __version__
 from .augmentation import (
+    SEARCH_MODES,
     AugmentParams,
     augment_class_records,
     read_pbim,
@@ -411,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region-height", type=int, default=None)
     p.add_argument("--region-width", type=int, default=None)
     p.add_argument(
-        "--search-mode", choices=("deterministic", "randomized"), default=AugmentParams.mode
+        "--search-mode", choices=SEARCH_MODES, default=AugmentParams.mode
     )
     p.add_argument("--tau", type=float, default=AugmentParams.tau)
     p.set_defaults(func=cmd_augment)

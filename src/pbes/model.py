@@ -249,6 +249,39 @@ def combined_loss(
     return combine_losses(distill, ce, config.beta)
 
 
+def _soft_targets(
+    teacher: SoftmaxModel, X: np.ndarray, rows: np.ndarray, temperature: float
+) -> np.ndarray:
+    """The teacher's softened distribution on the distilled rows of X."""
+    if not rows.any():
+        return np.zeros((0, teacher.num_classes))
+    return softmax_with_temperature(teacher.logits(X[rows]), temperature)
+
+
+def _gradient(X, Y, W, b, rows, q, config: LossConfig):
+    """(dW, db) of the combined loss from raw arrays; the one gradient formula.
+
+    ``rows`` selects the distilled rows, as a boolean mask or as a slice when
+    every row is distilled. ``q`` is the teacher's softened distribution on
+    those rows, or None when there is no teacher (beta is then 0).
+    """
+    logits = X @ W.T + b
+    ce_temp = config.ce_temperature()
+    probs = softmax_with_temperature(logits, ce_temp)
+    if q is None:
+        grad_logits = (probs - Y) / ce_temp
+    else:
+        grad_logits = (1.0 - config.beta) * (probs - Y) / ce_temp
+        if len(q):
+            k_old = q.shape[1]
+            temp = config.temperature
+            p = softmax_with_temperature(logits[rows][:, :k_old], temp)
+            distill_grad = np.zeros_like(grad_logits[rows])
+            distill_grad[:, :k_old] = (p - q) / temp
+            grad_logits[rows] += config.beta * distill_grad
+    return grad_logits.T @ X, grad_logits.sum(axis=0)
+
+
 def loss_gradient(
     batch: TrainingBatch,
     model: SoftmaxModel,
@@ -261,24 +294,12 @@ def loss_gradient(
             f"label width {len(batch.class_ids)} != model classes {model.num_classes}"
         )
     X = np.asarray(batch.inputs, dtype=np.float64)
-    logits = model.logits(X)
-    ce_temp = config.ce_temperature()
-    probs = softmax_with_temperature(logits, ce_temp)
-    if teacher is None or teacher.num_classes == 0:
-        grad_logits = (probs - batch.labels) / ce_temp
-    else:
+    rows = q = None
+    if teacher is not None and teacher.num_classes:
         _check_teacher(model, teacher)
-        grad_logits = (1.0 - config.beta) * (probs - batch.labels) / ce_temp
         rows = _distill_rows(batch, config)
-        if rows.any():
-            k_old = teacher.num_classes
-            temp = config.temperature
-            p = softmax_with_temperature(logits[rows][:, :k_old], temp)
-            q = softmax_with_temperature(teacher.logits(X[rows]), temp)
-            distill_grad = np.zeros_like(grad_logits[rows])
-            distill_grad[:, :k_old] = (p - q) / temp
-            grad_logits[rows] += config.beta * distill_grad
-    return grad_logits.T @ X, grad_logits.sum(axis=0)
+        q = _soft_targets(teacher, X, rows, config.temperature)
+    return _gradient(X, batch.labels, model.weights, model.bias, rows, q, config)
 
 
 def _extend_for_new_classes(
@@ -310,6 +331,12 @@ def train_task(
     New classes in the batch get zero-initialized rows before training, which
     leaves old-class logits untouched at the task boundary. Mini-batches (if
     any) run in fixed slice order, so the whole procedure is deterministic.
+
+    Inputs are validated once: ``data`` was checked when it was built (its
+    slices stay one-hot), and the teacher is checked and its softened targets
+    computed per slice before the first step, since the frozen teacher never
+    changes within a task. Each step then runs :func:`_gradient` on raw
+    arrays; only the finiteness of the updated parameters is checked per step.
     """
     model = _extend_for_new_classes(model, data.class_ids)
     if config.epochs == 0:
@@ -326,18 +353,20 @@ def train_task(
     W = model.weights.copy()
     b = model.bias.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(config.epochs):
+        if teacher is None or teacher.num_classes == 0:
+            steps = [(X[sl], data.labels[sl], None, None) for sl in slices]
+        else:
+            _check_teacher(model, teacher)
+            rows = _distill_rows(data, config)
+            steps = []
             for sl in slices:
-                current = SoftmaxModel(W, b, data.class_ids)
-                sub = TrainingBatch(
-                    inputs=data.inputs[sl],
-                    labels=data.labels[sl],
-                    class_ids=data.class_ids,
-                    exemplar_mask=None
-                    if data.exemplar_mask is None
-                    else data.exemplar_mask[sl],
-                )
-                grad_w, grad_b = loss_gradient(sub, current, teacher, config)
+                q = _soft_targets(teacher, X[sl], rows[sl], config.temperature)
+                # Selecting every row by a slice spares the copies a mask costs.
+                selected = slice(None) if rows[sl].all() else rows[sl]
+                steps.append((X[sl], data.labels[sl], selected, q))
+        for _ in range(config.epochs):
+            for X_s, Y_s, rows_s, q_s in steps:
+                grad_w, grad_b = _gradient(X_s, Y_s, W, b, rows_s, q_s, config)
                 W = W - config.learning_rate * grad_w
                 b = b - config.learning_rate * grad_b
                 if not (np.isfinite(W).all() and np.isfinite(b).all()):

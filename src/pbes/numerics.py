@@ -37,6 +37,9 @@ def as_data_matrix(X) -> np.ndarray:
     return A
 
 
+_U64_MASK = 0xFFFFFFFFFFFFFFFF
+
+
 @dataclass(frozen=True)
 class RngState:
     """Explicit seed for a PCG64 generator.
@@ -49,19 +52,20 @@ class RngState:
     algorithm: str = "pcg64"
 
     def generator(self) -> np.random.Generator:
+        """PCG64 draws for the seed taken modulo 2**64, as :meth:`derive` takes it."""
         if self.algorithm != "pcg64":
             raise ValidationError(f"unknown rng algorithm {self.algorithm!r}")
-        return np.random.Generator(np.random.PCG64(self.seed))
+        return np.random.Generator(np.random.PCG64(int(self.seed) & _U64_MASK))
 
     def derive(self, *keys: int | str) -> "RngState":
         """Deterministic child state keyed by integers and/or short strings."""
-        words = [int(self.seed) & 0xFFFFFFFFFFFFFFFF]
+        words = [int(self.seed) & _U64_MASK]
         for key in keys:
             if isinstance(key, str):
                 digest = hashlib.blake2s(key.encode("utf-8"), digest_size=8).digest()
                 words.append(int.from_bytes(digest, "little"))
             else:
-                words.append(int(key) & 0xFFFFFFFFFFFFFFFF)
+                words.append(int(key) & _U64_MASK)
         seq = np.random.SeedSequence(words)
         return RngState(seed=int(seq.generate_state(1, np.uint64)[0]))
 

@@ -19,6 +19,10 @@ import numpy as np
 from .errors import FileFormatError, ValidationError
 from .numerics import RngState
 
+# Largest synthetic stream, in generated values (total rows x dims): 10^8
+# float64 values are 800 MB, beyond a desk-scale run.
+MAX_SYNTHETIC_VALUES = 10**8
+
 
 @dataclass
 class LabeledDataset:
@@ -128,6 +132,15 @@ class SyntheticStreamSpec:
             raise ValidationError("test fraction must be in (0, 1)")
         if self.per_class_sizes is not None and len(self.per_class_sizes) != self.classes:
             raise ValidationError("per_class_sizes must list one size per class")
+        if self.per_class_sizes is not None:
+            rows, source = sum(self.per_class_sizes), "per_class_sizes"
+        else:
+            rows, source = self.classes * self.class_size, "classes x class_size"
+        if rows * self.dims > MAX_SYNTHETIC_VALUES:
+            raise ValidationError(
+                f"synthetic stream too large: {source} gives {rows} rows, times "
+                f"dims {self.dims} exceeds {MAX_SYNTHETIC_VALUES} values"
+            )
 
     def class_sizes(self) -> list[int]:
         if self.per_class_sizes is not None:

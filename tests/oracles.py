@@ -9,6 +9,14 @@ import math
 
 import numpy as np
 
+from pbes.errors import NumericalError
+from pbes.model import (
+    SoftmaxModel,
+    TrainingBatch,
+    _extend_for_new_classes,
+    loss_gradient,
+)
+
 
 def column_mean(X):
     """Per-column sum/divide with plain Python accumulation."""
@@ -123,3 +131,42 @@ def finite_difference_gradient(fun, W, b, eps=1e-5):
         down[i] -= eps
         gb[i] = (fun(W, up) - fun(W, down)) / (2 * eps)
     return gW, gb
+
+
+def train_task_reference(model, teacher, data, config):
+    """Gradient descent with every step rebuilt and re-validated from scratch.
+
+    Each step builds a fresh SoftmaxModel and TrainingBatch for its slice and
+    calls the public loss_gradient, which recomputes the teacher's logits.
+    """
+    model = _extend_for_new_classes(model, data.class_ids)
+    if config.epochs == 0:
+        return model
+    n = data.inputs.shape[0]
+    if config.batch_size == 0 or config.batch_size >= n:
+        slices = [slice(0, n)]
+    else:
+        slices = [
+            slice(start, min(start + config.batch_size, n))
+            for start in range(0, n, config.batch_size)
+        ]
+    W = model.weights.copy()
+    b = model.bias.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.epochs):
+            for sl in slices:
+                current = SoftmaxModel(W, b, data.class_ids)
+                sub = TrainingBatch(
+                    inputs=data.inputs[sl],
+                    labels=data.labels[sl],
+                    class_ids=data.class_ids,
+                    exemplar_mask=None
+                    if data.exemplar_mask is None
+                    else data.exemplar_mask[sl],
+                )
+                grad_w, grad_b = loss_gradient(sub, current, teacher, config)
+                W = W - config.learning_rate * grad_w
+                b = b - config.learning_rate * grad_b
+                if not (np.isfinite(W).all() and np.isfinite(b).all()):
+                    raise NumericalError("training diverged")
+    return SoftmaxModel(W, b, data.class_ids)

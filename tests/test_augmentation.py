@@ -199,6 +199,26 @@ class TestFindLowImportanceRegion:
             find_low_importance_region(np.ones((3, 3)), 1, 1, mode="randomized")
 
 
+class TestAugmentParams:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"mode": "bogus"},
+            {"tau": -0.1},
+            {"tau": 7.0},
+            {"region_height": 0},
+            {"region_width": -3},
+        ],
+    )
+    def test_rejects_out_of_range(self, fields):
+        with pytest.raises(ValidationError):
+            AugmentParams(**fields)
+
+    def test_accepts_bounds(self):
+        AugmentParams(region_height=1, region_width=None, mode="randomized", tau=0.0)
+        AugmentParams(tau=1.0)
+
+
 def _zero_rectangle_of(source, out):
     """Check out == source except inside one all-zero rectangle; return True/False."""
     diff = np.any(out != source, axis=0)

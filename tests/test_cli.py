@@ -104,6 +104,14 @@ class TestSample:
                        "--label", 0, "--out", out) == 0
         assert (out / "indices.txt").read_text().split() == ["2"]  # value 2.0
 
+    def test_negative_seed(self, tmp_path):
+        path = tmp_path / "three.csv"
+        write_dataset_csv(path, LabeledDataset(np.array([[1.0], [2.0], [3.0]]), [0] * 3))
+        out = tmp_path / "sel"
+        assert run_cli("sample", "--input", path, "--method", "random", "--m", 1,
+                       "--seed", -1, "--out", out) == 0
+        assert len((out / "indices.txt").read_text().split()) == 1
+
     def test_pbim_directory_input(self, tmp_path):
         img_dir = tmp_path / "imgs"
         img_dir.mkdir()
@@ -291,6 +299,30 @@ class TestOverrides:
             assert run_cli("run", "--config", config, "--out", out) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_bad_augmentation_settings_rejected_on_balanced_stream(self, tmp_path, capsys):
+        augmentation = {"enabled": True, "mode": "bogus", "tau": 7.0, "region_height": -3}
+        config = minimal_config(tmp_path, augmentation=augmentation)
+        assert run_cli("run", "--config", config, "--out", tmp_path / "m.csv") == 2
+        assert "'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize(
+        "synthetic, field",
+        [
+            pytest.param({"class_size": 10**20}, "class_size", id="class_size"),
+            pytest.param(
+                {"per_class_sizes": [12, 12, 12, 10**20]}, "per_class_sizes",
+                id="per_class_sizes",
+            ),
+        ],
+    )
+    def test_oversized_synthetic_stream_rejected(self, tmp_path, capsys, synthetic, field):
+        stream = {"synthetic": {"classes": 4, "tasks": 2, "dims": 3, **synthetic}}
+        config = minimal_config(tmp_path, stream=stream)
+        assert run_cli("run", "--config", config, "--out", tmp_path / "m.csv") == 2
+        err = capsys.readouterr().err
+        assert "too large" in err and field in err
 
     def test_non_object_section_is_validation_error(self, tmp_path):
         config = minimal_config(tmp_path, loss=[1, 2, 3])
@@ -571,6 +603,22 @@ class TestAugment:
         for path in (out / "1").glob("aug_*.pbim"):
             img = read_pbim(path)
             assert img[0, 0, 0] == 0.0  # cut at the low-saliency pixel
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            pytest.param(["--tau", 7], id="tau"),
+            pytest.param(["--region-height", 0], id="region_height"),
+        ],
+    )
+    def test_bad_settings_rejected_before_writing(self, tmp_path, flags):
+        gen = np.random.default_rng(1)
+        root = tmp_path / "imgs"
+        make_class_dir(root, 0, [gen.random((1, 4, 4)).astype(np.float32) for _ in range(3)])
+        make_class_dir(root, 1, [gen.random((1, 4, 4)).astype(np.float32)])
+        out = tmp_path / "balanced"
+        assert run_cli("augment", "--input", root, "--out", out, "--seed", 3, *flags) == 2
+        assert not out.exists()
 
     def test_deterministic_given_seed(self, tmp_path):
         gen = np.random.default_rng(2)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from pbes.model import (
     train_task,
 )
 
-from oracles import finite_difference_gradient
+from oracles import finite_difference_gradient, train_task_reference
 
 
 def random_instance(gen, n_classes=None, n_old=None, n=None, d=None):
@@ -331,6 +332,98 @@ class TestTrainTask:
         b = train_task(SoftmaxModel.empty(2), None, batch, config)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
+
+
+def _on_grid(a):
+    """Round to multiples of 0.25 so that rows, logits and labels tie."""
+    return np.round(np.asarray(a) * 4.0) / 4.0
+
+
+@st.composite
+def training_problems(draw):
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 6))
+    k_old = draw(st.integers(0, 3))
+    k_new = draw(st.integers(1, 3))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = tuple(range(k_old + k_new))
+    mask = draw(st.sampled_from(["none", "all_false", "mixed"]))
+    batch = TrainingBatch(
+        _on_grid(gen.normal(scale=1.5, size=(n, d))),
+        one_hot(gen.integers(0, len(ids), size=n), ids),
+        ids,
+        exemplar_mask={
+            "none": None,
+            "all_false": np.zeros(n, dtype=bool),
+            "mixed": gen.random(n) < 0.5,
+        }[mask],
+    )
+    old_ids = ids[:k_old]
+    model = SoftmaxModel(
+        _on_grid(gen.normal(size=(k_old, d))), _on_grid(gen.normal(size=k_old)), old_ids
+    )
+    teacher = draw(st.sampled_from(["none", "snapshot", "other"]))
+    teacher = {
+        "none": None,
+        "snapshot": make_teacher(model),
+        "other": SoftmaxModel(
+            _on_grid(gen.normal(size=(k_old, d))),
+            _on_grid(gen.normal(size=k_old)),
+            old_ids,
+        ),
+    }[teacher]
+    batch_size = draw(
+        st.one_of(
+            st.just(0), st.just(1), st.integers(1, max(1, n - 1)), st.integers(n, n + 3)
+        )
+    )
+    config = LossConfig(
+        temperature=draw(st.sampled_from([1.5, 2.0, 3.0])),
+        beta=draw(st.sampled_from([0.0, 0.3, 0.5, 1.0])),
+        learning_rate=draw(st.sampled_from([1e-3, 0.05, 0.5])),
+        epochs=draw(st.integers(1, 4)),
+        batch_size=batch_size,
+        distill_scope=draw(st.sampled_from(["all", "exemplars_only"])),
+        ce_shared_temperature=draw(st.booleans()),
+    )
+    return model, teacher, batch, config
+
+
+def _outcome(train, model, teacher, batch, config):
+    try:
+        out = train(model, teacher, batch, config)
+    except NumericalError:
+        return NumericalError
+    return out.class_ids, out.weights.tobytes(), out.bias.tobytes()
+
+
+class TestTrainTaskMatchesReference:
+    """train_task validates once and precomputes the teacher's soft targets;
+    the reference rebuilds and re-validates everything on every step."""
+
+    @given(training_problems())
+    def test_bit_identical(self, problem):
+        model, teacher, batch, config = problem
+        fast = _outcome(train_task, model, teacher, batch, config)
+        assert fast is not NumericalError
+        assert fast == _outcome(train_task_reference, model, teacher, batch, config)
+        diverging = replace(config, learning_rate=1e308)
+        assert _outcome(train_task, model, teacher, batch, diverging) == _outcome(
+            train_task_reference, model, teacher, batch, diverging
+        )
+
+    def test_divergence_raises_in_both(self):
+        gen = np.random.default_rng(11)
+        ids = (0, 1, 2)
+        batch = TrainingBatch(
+            _on_grid(gen.normal(size=(9, 3))), one_hot([0, 1, 2] * 3, ids), ids
+        )
+        teacher = SoftmaxModel(np.ones((2, 3)), np.zeros(2), ids[:2])
+        for scope in ("all", "exemplars_only"):
+            config = LossConfig(learning_rate=1e308, epochs=3, distill_scope=scope)
+            for train in (train_task, train_task_reference):
+                with pytest.raises(NumericalError):
+                    train(teacher, teacher, batch, config)
 
 
 class _MeanMemory:

@@ -225,3 +225,13 @@ class TestRngState:
         basis = random_unit_directions(3, 5, RngState(0))
         assert len(basis) == 5
         assert isinstance(basis, DirectionBasis)
+
+    @given(st.integers(0, 2**64 - 1))
+    def test_generator_draws_match_pcg64(self, seed):
+        expected = np.random.Generator(np.random.PCG64(seed)).integers(0, 2**63, size=4)
+        assert np.array_equal(RngState(seed).generator().integers(0, 2**63, size=4), expected)
+
+    def test_negative_seed_taken_modulo_two_to_64(self):
+        a = RngState(-1).generator().random(3)
+        b = RngState(2**64 - 1).generator().random(3)
+        assert np.array_equal(a, b)

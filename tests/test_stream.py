@@ -3,6 +3,7 @@ import pytest
 
 from pbes.errors import FileFormatError, ValidationError
 from pbes.stream import (
+    MAX_SYNTHETIC_VALUES,
     LabeledDataset,
     SyntheticStreamSpec,
     Task,
@@ -61,6 +62,17 @@ class TestSyntheticStream:
     def test_divisibility_enforced(self):
         with pytest.raises(ValidationError):
             tiny_spec(classes=5, tasks=2)
+
+    def test_size_ceiling(self):
+        rows = MAX_SYNTHETIC_VALUES // 4
+        assert tiny_spec(class_size=rows // 4, dims=4).class_size == rows // 4
+        for overrides in (
+            {"class_size": rows // 4, "dims": 5},
+            {"per_class_sizes": (10, 10, 10, rows), "dims": 4},
+            {"dims": MAX_SYNTHETIC_VALUES},
+        ):
+            with pytest.raises(ValidationError, match="too large"):
+                tiny_spec(**overrides)
 
     def test_outlier_fraction_range(self):
         with pytest.raises(ValidationError):
