@@ -309,8 +309,17 @@ def write_pbim(path, image) -> None:
         fh.write(img.tobytes(order="C"))
 
 
+def _checked(path, check, arr: np.ndarray) -> np.ndarray:
+    """``arr`` if ``check`` accepts it, else a format error naming ``path``."""
+    try:
+        check(arr)
+    except ValidationError as exc:
+        raise FileFormatError(f"{path}: {exc}") from None
+    return arr
+
+
 def read_pbim(path) -> np.ndarray:
-    """Read a PBIM image back as a float32 (c, h, w) array."""
+    """Read a PBIM image back as a float32 (c, h, w) array valid for ``as_image``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != PBIM_MAGIC:
@@ -323,7 +332,8 @@ def read_pbim(path) -> np.ndarray:
         raise FileFormatError(
             f"{path}: expected {expected} bytes for {c}x{h}x{w}, got {len(blob)}"
         )
-    return np.frombuffer(blob[16:], dtype="<f4").reshape(c, h, w).copy()
+    image = np.frombuffer(blob[16:], dtype="<f4").reshape(c, h, w).copy()
+    return _checked(path, as_image, image)
 
 
 def write_pbsm(path, saliency) -> None:
@@ -337,7 +347,7 @@ def write_pbsm(path, saliency) -> None:
 
 
 def read_pbsm(path) -> np.ndarray:
-    """Read a PBSM saliency map back as a float32 (h, w) array."""
+    """Read a PBSM saliency map as a float32 (h, w) array valid for ``as_saliency``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != PBSM_MAGIC:
@@ -350,7 +360,8 @@ def read_pbsm(path) -> np.ndarray:
         raise FileFormatError(
             f"{path}: expected {expected} bytes for {h}x{w}, got {len(blob)}"
         )
-    return np.frombuffer(blob[12:], dtype="<f4").reshape(h, w).copy()
+    saliency = np.frombuffer(blob[12:], dtype="<f4").reshape(h, w).copy()
+    return _checked(path, as_saliency, saliency)
 
 
 def read_pbim_dir(directory) -> tuple[list[np.ndarray], list[str]]:

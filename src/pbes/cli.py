@@ -19,7 +19,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import shutil
 import sys
 import typing
@@ -170,23 +169,18 @@ def _write_provenance(out_path: Path, doc: dict, config, wall_ms) -> None:
     )
 
 
-def _worker_count(n_jobs: int) -> int:
-    workers = min(n_jobs, os.cpu_count() or 1)
-    cap = os.environ.get("PBES_THREADS")
-    if cap is not None:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            raise ValidationError(f"PBES_THREADS must be an integer, got {cap!r}")
-    return max(1, workers)
-
-
 def _load_sample_rows(input_path: Path, label: int | None):
     """Rows to sample from: a dataset CSV (optionally one class) or a PBIM dir."""
     if input_path.is_dir():
         from .augmentation import read_pbim_dir
 
-        images, _names = read_pbim_dir(input_path)
+        images, names = read_pbim_dir(input_path)
+        for image, name in zip(images, names):
+            if image.shape != images[0].shape:
+                raise ValidationError(
+                    f"{input_path}: {name} has shape {image.shape}, "
+                    f"but {names[0]} has shape {images[0].shape}"
+                )
         rows = np.vstack([img.reshape(-1).astype(np.float64) for img in images])
         labels = np.full(rows.shape[0], 0 if label is None else label, dtype=np.int64)
         return rows, labels, np.arange(rows.shape[0])
@@ -202,6 +196,8 @@ def _load_sample_rows(input_path: Path, label: int | None):
 def cmd_sample(args) -> int:
     if args.method in ("randp", "random") and args.seed is None:
         raise ValidationError(f"--seed is required for method {args.method!r}")
+    if args.randp_pool is not None and args.method != "randp":
+        raise ValidationError("randp_pool only applies to the randp sampler")
     rows, labels, original_rows = _load_sample_rows(Path(args.input), args.label)
     if not 1 <= args.m <= rows.shape[0]:
         raise ValidationError(
@@ -255,7 +251,7 @@ def cmd_sweep(args) -> int:
         raise ValidationError(f"--budgets must be comma-separated integers, got {args.budgets!r}")
     if not budgets:
         raise ValidationError("--budgets must name at least one budget")
-    results = sweep_budgets(config, budgets, max_workers=_worker_count(len(set(budgets))))
+    results = sweep_budgets(config, budgets)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_bytes(format_sweep_rows(results).encode("utf-8"))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -236,13 +235,9 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
 
 
 def sweep_budgets(
-    config: ExperimentConfig, budgets: list[int], max_workers: int = 1
+    config: ExperimentConfig, budgets: list[int]
 ) -> list[tuple[int, list[MetricsRow]]]:
-    """Run the experiment once per memory budget, ascending, deduplicated.
-
-    Results are assembled in budget order regardless of worker completion
-    order, so single- and multi-worker sweeps produce identical output.
-    """
+    """Run the experiment once per memory budget, ascending, deduplicated."""
     if not budgets:
         raise ValidationError("budget sweep needs at least one budget")
     unique: list[int] = []
@@ -253,26 +248,17 @@ def sweep_budgets(
             warnings.warn(f"duplicate budget {b} ignored", stacklevel=2)
         else:
             unique.append(b)
-    ordered = sorted(unique)
-    configs = [replace(config, memory_budget=b) for b in ordered]
-    if max_workers <= 1:
-        results = [run_experiment(c) for c in configs]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(run_experiment, configs))
-    return list(zip(ordered, results))
+    return [(b, run_experiment(replace(config, memory_budget=b))) for b in sorted(unique)]
 
 
 SWEEP_HEADER = "M,task,accuracy,avg_accuracy,macro_f1,gmean,wall_ms"
 
 
-def format_sweep_rows(
-    results: list[tuple[int, list[MetricsRow]]], deterministic_timing: bool = True
-) -> str:
+def format_sweep_rows(results: list[tuple[int, list[MetricsRow]]]) -> str:
     """One metrics block per budget in a single CSV, rows ordered by (M, task)."""
     lines = [SWEEP_HEADER]
     for budget, rows in results:
-        body = format_metrics_rows(rows, deterministic_timing).splitlines()[1:]
+        body = format_metrics_rows(rows).splitlines()[1:]
         lines.extend(f"{budget},{line}" for line in body)
     return "\n".join(lines) + "\n"
 

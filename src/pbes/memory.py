@@ -23,7 +23,6 @@ class StoredClass:
     method: str
     ordered_indices: tuple[int, ...]
     points: np.ndarray  # (stored, d), rows follow ordered_indices
-    provenance: str = "original"
 
 
 @dataclass
@@ -106,7 +105,6 @@ def rebalance_memory(
             method=sc.method,
             ordered_indices=sc.ordered_indices[:quota],
             points=sc.points[:quota].copy(),
-            provenance=sc.provenance,
         )
         for sc, quota in zip(arrival, quotas)
     ]

@@ -70,28 +70,21 @@ def evaluate(
     return accuracy, macro_f1, gmean
 
 
-def format_metrics_rows(
-    rows: list[MetricsRow], deterministic_timing: bool = True
-) -> str:
+def format_metrics_rows(rows: list[MetricsRow]) -> str:
     """Render rows as the metrics CSV (fixed 6-decimal formatting).
 
-    With ``deterministic_timing`` the wall_ms column is written as 0, keeping
-    the file byte-reproducible across reruns; measured timings stay available
-    on the row objects (and in the CLI's provenance sidecar).
+    The wall_ms column is always written as 0, keeping the file
+    byte-reproducible across reruns; measured timings stay available on the
+    row objects (and in the CLI's provenance sidecar).
     """
     lines = [METRICS_HEADER]
     for row in rows:
-        wall = 0.0 if deterministic_timing else row.wall_ms
         lines.append(
             f"{row.task_index},{row.accuracy:.6f},{row.avg_accuracy:.6f},"
-            f"{row.macro_f1:.6f},{row.gmean:.6f},{wall:.6f}"
+            f"{row.macro_f1:.6f},{row.gmean:.6f},0.000000"
         )
     return "\n".join(lines) + "\n"
 
 
-def write_metrics_csv(
-    path, rows: list[MetricsRow], deterministic_timing: bool = True
-) -> None:
-    Path(path).write_bytes(
-        format_metrics_rows(rows, deterministic_timing).encode("utf-8")
-    )
+def write_metrics_csv(path, rows: list[MetricsRow]) -> None:
+    Path(path).write_bytes(format_metrics_rows(rows).encode("utf-8"))

@@ -49,12 +49,9 @@ class RngState:
     """
 
     seed: int
-    algorithm: str = "pcg64"
 
     def generator(self) -> np.random.Generator:
         """PCG64 draws for the seed taken modulo 2**64, as :meth:`derive` takes it."""
-        if self.algorithm != "pcg64":
-            raise ValidationError(f"unknown rng algorithm {self.algorithm!r}")
         return np.random.Generator(np.random.PCG64(int(self.seed) & _U64_MASK))
 
     def derive(self, *keys: int | str) -> "RngState":

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -51,6 +52,25 @@ def minimal_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def write_raw(path, magic, shape, values):
+    """A PBIM (c, h, w) or PBSM (h, w) file written without validating ``values``."""
+    header = struct.pack(f"<{len(shape)}I", *shape)
+    path.write_bytes(magic + header + np.asarray(values, dtype="<f4").tobytes())
+
+
+# Files that pass the PBIM/PBSM length check but hold no valid image or map.
+BAD_PBIM = {
+    "zero_axis": ((1, 0, 2), []),
+    "nan": ((1, 2, 2), [1.0, np.nan, 1.0, 1.0]),
+    "inf": ((1, 2, 2), [1.0, 1.0, -np.inf, 1.0]),
+}
+BAD_PBSM = {
+    "zero_axis": ((2, 0), []),
+    "nan": ((2, 2), [1.0, np.nan, 1.0, 1.0]),
+    "negative": ((2, 2), [1.0, -0.5, 1.0, 1.0]),
+}
 
 
 class TestSample:
@@ -121,6 +141,36 @@ class TestSample:
         assert run_cli("sample", "--input", img_dir, "--method", "pbes", "--m", 1,
                        "--out", out) == 0
         assert (out / "indices.txt").read_text().split() == ["1"]
+
+    @pytest.mark.parametrize("bad", sorted(BAD_PBIM))
+    def test_invalid_pbim_is_format_error(self, tmp_path, capsys, bad):
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        write_pbim(img_dir / "a.pbim", np.ones((1, 2, 2), dtype=np.float32))
+        write_raw(img_dir / "b.pbim", b"PBIM", *BAD_PBIM[bad])
+        assert run_cli("sample", "--input", img_dir, "--method", "pbes", "--m", 1,
+                       "--out", tmp_path / "sel") == 3
+        assert f"{img_dir / 'b.pbim'}: " in capsys.readouterr().err
+
+    def test_mixed_shape_pbim_directory(self, tmp_path, capsys):
+        img_dir = tmp_path / "imgs"
+        img_dir.mkdir()
+        write_pbim(img_dir / "a.pbim", np.ones((1, 2, 2), dtype=np.float32))
+        write_pbim(img_dir / "b.pbim", np.ones((1, 2, 2), dtype=np.float32))
+        write_pbim(img_dir / "c.pbim", np.ones((1, 3, 2), dtype=np.float32))
+        assert run_cli("sample", "--input", img_dir, "--method", "pbes", "--m", 1,
+                       "--out", tmp_path / "sel") == 2
+        err = capsys.readouterr().err
+        assert str(img_dir) in err
+        assert "c.pbim has shape (1, 3, 2)" in err
+        assert "a.pbim has shape (1, 2, 2)" in err
+
+    @pytest.mark.parametrize("method", ["pbes", "herding", "random"])
+    def test_randp_pool_needs_randp(self, tmp_path, capsys, five_point_csv, method):
+        assert run_cli("sample", "--input", five_point_csv, "--method", method, "--m", 1,
+                       "--seed", 0, "--randp-pool", 5, "--out", tmp_path / "sel") == 2
+        assert "randp_pool only applies to the randp sampler" in capsys.readouterr().err
+        assert not (tmp_path / "sel").exists()
 
 
 class TestRun:
@@ -200,17 +250,6 @@ class TestSweep:
             assert run_cli("sweep", "--config", config, "--budgets", "8,8", "--out", out) == 0
         lines = out.read_text().splitlines()
         assert [ln.split(",")[0] for ln in lines[1:]] == ["8", "8"]
-
-    def test_parallel_and_serial_byte_identical(self, tmp_path, monkeypatch):
-        config = minimal_config(tmp_path)
-        serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-        monkeypatch.setenv("PBES_THREADS", "1")
-        assert run_cli("sweep", "--config", config, "--budgets", "4,8,12",
-                       "--out", serial) == 0
-        monkeypatch.setenv("PBES_THREADS", "4")
-        assert run_cli("sweep", "--config", config, "--budgets", "4,8,12",
-                       "--out", parallel) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
 
     def test_bad_budget_list(self, tmp_path):
         config = minimal_config(tmp_path)
@@ -494,6 +533,45 @@ def _mutate_csv(data, path):
     path.write_text("\n".join(lines))
 
 
+FUZZ_PIXELS = st.sampled_from([np.nan, np.inf, -np.inf, -1.0, -0.0, 3e38])
+FUZZ_AXES = st.sampled_from([0, 1, 2, 3, 7, 2**32 - 1])
+
+
+def _mutate_image_file(data, path):
+    """Corrupt a PBIM/PBSM file's header, payload length, one value or its shape."""
+    blob = bytearray(path.read_bytes())
+    head = 16 if blob[:4] == b"PBIM" else 12
+    action = data.draw(st.sampled_from(["magic", "axis", "truncate", "extend", "value",
+                                        "shape"]))
+    if action == "magic":
+        blob[:4] = data.draw(st.sampled_from([b"PBIM", b"PBSM", b"XXXX", b""]))
+    elif action == "axis":
+        at = data.draw(st.sampled_from(range(4, head, 4)))
+        blob[at:at + 4] = struct.pack("<I", data.draw(FUZZ_AXES))
+    elif action == "truncate":
+        del blob[data.draw(st.integers(0, len(blob) - 1)):]
+    elif action == "extend":
+        blob += bytes(data.draw(st.integers(1, 8)))
+    elif action == "value":
+        at = head + 4 * data.draw(st.integers(0, (len(blob) - head) // 4 - 1))
+        blob[at:at + 4] = struct.pack("<f", data.draw(FUZZ_PIXELS))
+    else:  # a well-formed file of another shape
+        shape = [data.draw(st.integers(0, 4)) for _ in range((head - 4) // 4)]
+        values = np.ones(shape, dtype="<f4").tobytes()
+        blob = blob[:4] + struct.pack(f"<{len(shape)}I", *shape) + values
+    path.write_bytes(bytes(blob))
+
+
+def _exit_code(argv):
+    """Exit code of one CLI call, checked to be quiet on success and traceback-free."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run_cli(*argv)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")
+    return code
+
+
 @settings(max_examples=50, derandomize=True, database=None)
 @given(data=st.data(), target=st.sampled_from(["config", "files_config", "manifest", "csv"]))
 def test_mutated_inputs_end_in_documented_exit_codes(data, target):
@@ -512,12 +590,31 @@ def test_mutated_inputs_end_in_documented_exit_codes(data, target):
             names = sorted(p.name for p in manifest.parent.glob("*.csv"))
             _mutate_csv(data, manifest.parent / data.draw(st.sampled_from(names)))
         (tmp / "config.json").write_text(json.dumps(config))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = run_cli("run", "--config", tmp / "config.json", "--out", tmp / "m.csv")
+        code = _exit_code(["run", "--config", tmp / "config.json", "--out", tmp / "m.csv"])
     assert code in (0, 2, 3, 4)
-    assert "Traceback" not in err.getvalue()
-    assert (code == 0) == (err.getvalue() == "")
+
+
+@settings(max_examples=50, derandomize=True, database=None)
+@given(data=st.data(), suffix=st.sampled_from(["pbim", "pbsm"]),
+       command=st.sampled_from(["stats", "augment", "sample"]))
+def test_mutated_image_files_end_in_documented_exit_codes(data, suffix, command):
+    """A malformed PBIM or PBSM file ends in exit 2 or 3, never a traceback."""
+    gen = np.random.default_rng(4)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "imgs"
+        make_class_dir(root, 0, [gen.random((2, 3, 3)) for _ in range(4)])
+        class_dir = make_class_dir(root, 1, [gen.random((2, 3, 3)) for _ in range(2)])
+        for path in class_dir.glob("*.pbim"):
+            write_pbsm(path.with_suffix(".pbsm"), gen.random((3, 3)))
+        names = sorted(str(p) for p in root.rglob(f"*.{suffix}"))
+        _mutate_image_file(data, Path(data.draw(st.sampled_from(names))))
+        out = Path(tmp) / "out"
+        if command == "sample":
+            argv = ["sample", "--input", class_dir, "--method", "pbes", "--m", 1]
+        else:
+            argv = [command, "--input", root] + (["--seed", 3] if command == "augment" else [])
+        code = _exit_code(argv + ["--out", out])
+    assert code in (0, 2, 3)
 
 
 def test_checks_hold_under_optimize_flag(tmp_path):
@@ -566,6 +663,14 @@ class TestStats:
 
     def test_missing_dir_is_io_error(self, tmp_path):
         assert run_cli("stats", "--input", tmp_path / "nope", "--out", tmp_path / "s") == 3
+
+    @pytest.mark.parametrize("bad", sorted(BAD_PBIM))
+    def test_invalid_image_is_format_error(self, tmp_path, capsys, bad):
+        root = tmp_path / "imgs"
+        class_dir = make_class_dir(root, 0, [np.ones((1, 2, 2))])
+        write_raw(class_dir / "bad.pbim", b"PBIM", *BAD_PBIM[bad])
+        assert run_cli("stats", "--input", root, "--out", tmp_path / "s") == 3
+        assert f"{class_dir / 'bad.pbim'}: " in capsys.readouterr().err
 
 
 class TestAugment:
@@ -619,6 +724,23 @@ class TestAugment:
         out = tmp_path / "balanced"
         assert run_cli("augment", "--input", root, "--out", out, "--seed", 3, *flags) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "suffix,bad",
+        [(".pbim", bad) for bad in sorted(BAD_PBIM)]
+        + [(".pbsm", bad) for bad in sorted(BAD_PBSM)],
+    )
+    def test_invalid_image_or_saliency_is_format_error(self, tmp_path, capsys, suffix, bad):
+        root = tmp_path / "imgs"
+        make_class_dir(root, 0, [np.ones((1, 2, 2)) for _ in range(3)])
+        class_dir = make_class_dir(root, 1, [np.ones((1, 2, 2))])
+        write_pbsm(class_dir / "img_000.pbsm", np.ones((2, 2)))
+        bad_path = class_dir / f"img_000{suffix}"
+        table = BAD_PBIM if suffix == ".pbim" else BAD_PBSM
+        write_raw(bad_path, suffix[1:].upper().encode(), *table[bad])
+        assert run_cli("augment", "--input", root, "--out", tmp_path / "out",
+                       "--seed", 3) == 3
+        assert f"{bad_path}: " in capsys.readouterr().err
 
     def test_deterministic_given_seed(self, tmp_path):
         gen = np.random.default_rng(2)

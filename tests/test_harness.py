@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -128,32 +130,47 @@ class TestRunExperiment:
 
 
 class TestModeSemantics:
-    def test_exemplars_come_from_original_rows(self):
+    def test_exemplars_come_from_original_rows(self, monkeypatch):
         """Every stored exemplar equals some original train row of its class."""
-        from pbes.memory import RehearsalMemory, quotas_for, rebalance_memory
-        from pbes.sampling import pbes_sample
+        import pbes.harness as harness
 
+        memories, augmented = [], []
+        real_rebalance, real_augment = harness.rebalance_memory, harness._augment_task
+
+        def capture_rebalance(*args):
+            memories.append(real_rebalance(*args))
+            return memories[-1]
+
+        def capture_augment(*args):
+            extra = real_augment(*args)
+            augmented.append(len(extra[1]))
+            return extra
+
+        monkeypatch.setattr(harness, "rebalance_memory", capture_rebalance)
+        monkeypatch.setattr(harness, "_augment_task", capture_augment)
         spec = SyntheticStreamSpec(
             classes=4, tasks=2, class_size=16, imbalance_ratio=2.0, dims=4
         )
-        stream = generate_synthetic_stream(spec, 11)
-        memory = RehearsalMemory(budget=8)
-        arrival = []
-        for task in stream.tasks:
-            arrival.extend(sorted(task.class_ids))
-            quotas = dict(zip(arrival, quotas_for(8, len(arrival))))
-            selections = {}
-            for cid in sorted(task.class_ids):
-                rows = task.train.rows_for(cid)
-                selections[cid] = (pbes_sample(rows, quotas[cid]), rows)
-            memory = rebalance_memory(memory, selections, 8)
-            for sc in memory.classes:
-                assert sc.provenance == "original"
-        # the harness reproduces the same memory content
         config = tiny_config(
-            stream=spec, memory_budget=8, classifier="ncm", loss=fast_loss(epochs=1)
+            stream=spec,
+            memory_budget=8,
+            classifier="ncm",
+            augment=AugmentSettings(enabled=True),
+            loss=fast_loss(epochs=1),
         )
-        run_experiment(config)  # should not raise
+        run_experiment(config)
+        assert sum(augmented) > 0
+        assert len(memories) == 2
+        train = {
+            cid: task.train.rows_for(cid)
+            for task in generate_synthetic_stream(spec, config.seed).tasks
+            for cid in task.class_ids
+        }
+        for memory in memories:
+            assert memory.total_stored() > 0
+            for sc in memory.classes:
+                for row in sc.points:
+                    assert (train[sc.class_id] == row).all(axis=1).any()
 
     def test_upperbound_beats_finetune_most_seeds(self):
         spec = SyntheticStreamSpec(
@@ -186,11 +203,15 @@ class TestSweep:
             results = sweep_budgets(tiny_config(), [8, 8, 16])
         assert [budget for budget, _ in results] == [8, 16]
 
-    def test_parallel_matches_serial(self):
+    def test_blocks_match_single_runs(self):
         config = tiny_config()
-        serial = format_sweep_rows(sweep_budgets(config, [4, 8, 12], max_workers=1))
-        parallel = format_sweep_rows(sweep_budgets(config, [4, 8, 12], max_workers=3))
-        assert serial == parallel
+        lines = format_sweep_rows(sweep_budgets(config, [12, 4, 8])).splitlines(True)
+        for budget in (4, 8, 12):
+            single = format_metrics_rows(
+                run_experiment(replace(config, memory_budget=budget))
+            ).splitlines(True)[1:]
+            block = [ln for ln in lines[1:] if ln.startswith(f"{budget},")]
+            assert block == [f"{budget},{ln}" for ln in single]
 
     def test_empty_budgets_rejected(self):
         with pytest.raises(ValidationError):

@@ -114,7 +114,6 @@ class TestRebalance:
         memory = rebalance_memory(RehearsalMemory(budget=4), {0: (sel, pts)}, 4)
         sc = memory.classes[0]
         assert np.array_equal(sc.points, pts[list(sel.ordered_indices)])
-        assert sc.provenance == "original"
         assert sc.method == "pbes"
 
     def test_input_memory_not_mutated(self):

@@ -75,13 +75,9 @@ class TestMetricsCsv:
         assert lines[1] == "1,0.500000,0.500000,0.250000,0.100000,0.000000"
         assert lines[2] == "2,0.333333,0.750000,0.666667,0.000000,0.000000"
 
-    def test_deterministic_timing_column_default(self):
+    def test_timing_column_is_zero(self):
         text = format_metrics_rows(self.rows())
         assert ",12.345" not in text
-
-    def test_real_timings_on_request(self):
-        text = format_metrics_rows(self.rows(), deterministic_timing=False)
-        assert "12.345000" in text
 
     def test_write_csv(self, tmp_path):
         path = tmp_path / "metrics.csv"
