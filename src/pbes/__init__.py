@@ -1,55 +1,14 @@
-"""Robust exemplar sampling and a desk-scale class-incremental learning harness."""
+"""Robust exemplar sampling and a desk-scale class-incremental learning harness.
+
+The root exports the samplers and the experiment; everything else is imported
+from its module (``pbes.model``, ``pbes.augmentation``, ...).
+"""
 
 __version__ = "0.1.0"
 
-from .augmentation import (
-    AugmentParams,
-    BalancePlan,
-    Region,
-    augment_class,
-    balance_plan,
-    binary_mask,
-    find_low_importance_region,
-    importance_score,
-    read_pbim,
-    read_pbsm,
-    selective_cut,
-    write_pbim,
-    write_pbsm,
-)
 from .errors import FileFormatError, NumericalError, ValidationError
-from .harness import (
-    AugmentSettings,
-    ExperimentConfig,
-    StreamFiles,
-    run_experiment,
-    sweep_budgets,
-)
-from .memory import RehearsalMemory, rebalance_memory
-from .metrics import MetricsRow, evaluate, write_metrics_csv
-from .model import (
-    LossConfig,
-    SoftmaxModel,
-    TrainingBatch,
-    classify,
-    combined_loss,
-    cross_entropy_loss,
-    distillation_loss,
-    load_model,
-    loss_gradient,
-    save_model,
-    softmax_with_temperature,
-    train_task,
-)
-from .numerics import (
-    DirectionBasis,
-    RngState,
-    covariance,
-    mean_vector,
-    principal_directions,
-    project,
-    random_unit_directions,
-)
+from .harness import ExperimentConfig, run_experiment, sweep_budgets
+from .numerics import RngState
 from .sampling import (
     ExemplarSelection,
     herding_sample,
@@ -57,78 +16,18 @@ from .sampling import (
     random_sample,
     randp_sample,
 )
-from .stats import dataset_stats
-from .stream import (
-    LabeledDataset,
-    SyntheticStreamSpec,
-    Task,
-    TaskStream,
-    generate_synthetic_stream,
-    read_dataset_csv,
-    read_stream,
-    write_dataset_csv,
-    write_stream,
-)
 
 __all__ = [
-    "AugmentParams",
-    "AugmentSettings",
-    "BalancePlan",
-    "DirectionBasis",
     "ExemplarSelection",
     "ExperimentConfig",
     "FileFormatError",
-    "LabeledDataset",
-    "LossConfig",
-    "MetricsRow",
     "NumericalError",
-    "Region",
-    "RehearsalMemory",
     "RngState",
-    "SoftmaxModel",
-    "StreamFiles",
-    "SyntheticStreamSpec",
-    "Task",
-    "TaskStream",
-    "TrainingBatch",
     "ValidationError",
-    "augment_class",
-    "balance_plan",
-    "binary_mask",
-    "classify",
-    "combined_loss",
-    "covariance",
-    "cross_entropy_loss",
-    "dataset_stats",
-    "distillation_loss",
-    "evaluate",
-    "find_low_importance_region",
-    "generate_synthetic_stream",
     "herding_sample",
-    "importance_score",
-    "load_model",
-    "loss_gradient",
-    "mean_vector",
     "pbes_sample",
-    "principal_directions",
-    "project",
     "random_sample",
-    "random_unit_directions",
     "randp_sample",
-    "read_dataset_csv",
-    "read_pbim",
-    "read_pbsm",
-    "read_stream",
-    "rebalance_memory",
     "run_experiment",
-    "save_model",
-    "selective_cut",
-    "softmax_with_temperature",
     "sweep_budgets",
-    "train_task",
-    "write_dataset_csv",
-    "write_metrics_csv",
-    "write_pbim",
-    "write_pbsm",
-    "write_stream",
 ]

@@ -285,20 +285,6 @@ def augment_class_records(
     return out
 
 
-def augment_class(
-    images: list,
-    count: int,
-    rng: RngState,
-    saliencies: list | None = None,
-    params: AugmentParams | None = None,
-) -> list[np.ndarray]:
-    """Generate ``count`` selective-cut images for one class."""
-    return [
-        rec.image
-        for rec in augment_class_records(images, count, rng, saliencies, params)
-    ]
-
-
 def write_pbim(path, image) -> None:
     """Write an image as PBIM: magic, u32 c/h/w, then f32 pixels, planar LE."""
     img = as_image(image).astype("<f4")

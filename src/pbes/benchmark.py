@@ -10,8 +10,7 @@ exemplar quality affects retention.
 
 from __future__ import annotations
 
-from .harness import ExperimentConfig, run_experiment
-from .metrics import MetricsRow
+from .harness import ExperimentConfig
 from .model import LossConfig
 from .stream import SyntheticStreamSpec
 
@@ -70,16 +69,3 @@ def blob_config(
         loss=blob_loss_config(),
     )
 
-
-def run_mode(
-    mode: str, seed: int, sampler: str = "pbes", budget: int = BLOB_BUDGET
-) -> list[MetricsRow]:
-    return run_experiment(blob_config(mode, seed, sampler=sampler, budget=budget))
-
-
-def last_accuracy(rows: list[MetricsRow]) -> float:
-    return rows[-1].accuracy
-
-
-def final_avg_accuracy(rows: list[MetricsRow]) -> float:
-    return rows[-1].avg_accuracy

@@ -280,8 +280,12 @@ def _class_dirs(root: Path) -> list[tuple[int, Path]]:
         try:
             cid = int(child.name)
         except ValueError:
+            cid = None
+        # Only the canonical decimal names a class, so 1/ and 01/ cannot merge.
+        if cid is None or str(cid) != child.name:
             raise ValidationError(
-                f"class directory name {child.name!r} is not an integer id"
+                f"{child}: class directory name {child.name!r} is not the "
+                f"decimal form of an integer id (such as '3', not '03' or '+3')"
             )
         out.append((cid, child))
     if not out:
@@ -310,11 +314,10 @@ def cmd_stats(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    class_dirs = _class_dirs(Path(args.input))
     from .augmentation import balance_plan
 
     per_class: dict[int, list[Path]] = {}
-    for cid, child in class_dirs:
+    for cid, child in _class_dirs(Path(args.input)):
         paths = sorted(child.glob("*.pbim"))
         if not paths:
             raise FileFormatError(f"{child}: no .pbim files found")
@@ -326,6 +329,16 @@ def cmd_augment(args) -> int:
         mode=args.search_mode,
         tau=args.tau,
     )
+    # Read and check every image, and the sidecars a class will use, before
+    # any output exists, so a bad file leaves no partial tree behind.
+    inputs = {}
+    for cid, paths in sorted(per_class.items()):
+        images = [read_pbim(p) for p in paths]
+        saliencies = None
+        sidecars = [p.with_suffix(".pbsm") for p in paths]
+        if plan.counts[cid] and all(s.exists() for s in sidecars):
+            saliencies = [read_pbsm(s) for s in sidecars]
+        inputs[cid] = images, saliencies
     out_root = Path(args.out)
     rng = RngState(args.seed)
     for cid, paths in sorted(per_class.items()):
@@ -336,11 +349,7 @@ def cmd_augment(args) -> int:
         count = plan.counts[cid]
         if count == 0:
             continue
-        images = [read_pbim(p) for p in paths]
-        saliencies = None
-        sidecars = [p.with_suffix(".pbsm") for p in paths]
-        if all(s.exists() for s in sidecars):
-            saliencies = [read_pbsm(s) for s in sidecars]
+        images, saliencies = inputs[cid]
         records = augment_class_records(
             images,
             count,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .augmentation import AugmentParams, augment_class, balance_plan
+from .augmentation import AugmentParams, augment_class_records, balance_plan
 from .errors import ValidationError
 from .memory import RehearsalMemory, quotas_for, rebalance_memory
 from .metrics import MetricsRow, evaluate, format_metrics_rows
@@ -105,10 +105,10 @@ def _augment_task(train, class_ids, settings: AugmentSettings, rng: RngState):
             continue
         rows = train.rows_for(cid)
         images = [row.reshape(1, 1, -1) for row in rows]
-        generated = augment_class(
+        records = augment_class_records(
             images, count, rng.derive("class", cid), params=settings
         )
-        extra_points.extend(img.reshape(-1) for img in generated)
+        extra_points.extend(rec.image.reshape(-1) for rec in records)
         extra_labels.extend([cid] * count)
     if not extra_points:
         return np.zeros((0, train.points.shape[1])), np.zeros(0, dtype=np.int64)

@@ -10,16 +10,11 @@ batch size. Models are immutable values: training returns a new model.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FileFormatError, NumericalError, ValidationError
-
-MODEL_MAGIC = b"PBMC"
-MODEL_FORMAT_VERSION = 1
-_PROB_FLOOR = 1e-300
+from .errors import NumericalError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -167,46 +162,6 @@ def softmax_with_temperature(logits, temperature: float = 1.0) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy_loss(
-    batch: TrainingBatch, model: SoftmaxModel, temperature: float = 1.0
-) -> float:
-    """Summed cross-entropy over all current classes (temperature 1 by default)."""
-    if len(batch.class_ids) != model.num_classes:
-        raise ValidationError(
-            f"label width {len(batch.class_ids)} != model classes {model.num_classes}"
-        )
-    probs = softmax_with_temperature(model.logits(batch.inputs), temperature)
-    return float(-(batch.labels * np.log(np.maximum(probs, _PROB_FLOOR))).sum())
-
-
-def distillation_loss(
-    student_logits_old: np.ndarray, teacher_logits: np.ndarray, temperature: float
-) -> float:
-    """Summed soft cross-entropy between temperature-softened distributions.
-
-    Both logit matrices cover only the old classes; each row is normalized
-    over those columns alone.
-    """
-    s = np.asarray(student_logits_old, dtype=np.float64)
-    t = np.asarray(teacher_logits, dtype=np.float64)
-    if s.shape != t.shape or s.ndim != 2:
-        raise ValidationError(f"logit shapes {s.shape} and {t.shape} must match")
-    if s.shape[1] < 1:
-        raise ValidationError("distillation needs at least one old class")
-    if not temperature > 1.0:
-        raise ValidationError(f"distillation temperature must be > 1, got {temperature}")
-    if s.shape[0] == 0:
-        return 0.0
-    p = softmax_with_temperature(s, temperature)
-    q = softmax_with_temperature(t, temperature)
-    return float(-(q * np.log(np.maximum(p, _PROB_FLOOR))).sum())
-
-
-def combine_losses(distill: float, cross_entropy: float, beta: float) -> float:
-    """beta-weighted sum of the two loss terms."""
-    return beta * distill + (1.0 - beta) * cross_entropy
-
-
 def _check_teacher(model: SoftmaxModel, teacher: SoftmaxModel) -> None:
     k_old = teacher.num_classes
     if k_old > model.num_classes:
@@ -221,32 +176,6 @@ def _distill_rows(batch: TrainingBatch, config: LossConfig) -> np.ndarray:
             return np.zeros(len(batch), dtype=bool)
         return batch.exemplar_mask.astype(bool)
     return np.ones(len(batch), dtype=bool)
-
-
-def combined_loss(
-    batch: TrainingBatch,
-    model: SoftmaxModel,
-    teacher: SoftmaxModel | None,
-    config: LossConfig,
-) -> float:
-    """Cross-entropy plus distillation against the teacher, beta-weighted.
-
-    Without a teacher (first task) the result is the plain cross-entropy,
-    i.e. beta is treated as 0.
-    """
-    ce = cross_entropy_loss(batch, model, config.ce_temperature())
-    if teacher is None or teacher.num_classes == 0:
-        return ce
-    _check_teacher(model, teacher)
-    rows = _distill_rows(batch, config)
-    if not rows.any():
-        distill = 0.0
-    else:
-        student = model.logits(batch.inputs[rows])[:, : teacher.num_classes]
-        distill = distillation_loss(
-            student, teacher.logits(batch.inputs[rows]), config.temperature
-        )
-    return combine_losses(distill, ce, config.beta)
 
 
 def _soft_targets(
@@ -288,7 +217,10 @@ def loss_gradient(
     teacher: SoftmaxModel | None,
     config: LossConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic (dW, db) of :func:`combined_loss` for the linear model."""
+    """Analytic (dW, db) of the combined objective for the linear model.
+
+    Without a teacher (first task) beta is treated as 0.
+    """
     if len(batch.class_ids) != model.num_classes:
         raise ValidationError(
             f"label width {len(batch.class_ids)} != model classes {model.num_classes}"
@@ -377,23 +309,14 @@ def train_task(
     return SoftmaxModel(W, b, data.class_ids)
 
 
-def classify(model: SoftmaxModel, x, mode: str = "argmax", memory=None) -> int:
-    """Predict a class id for one feature vector.
+def predict(model: SoftmaxModel, X, mode: str = "argmax", memory=None) -> np.ndarray:
+    """Predicted class id for every row of X.
 
     "argmax" takes the class with the largest logit. "ncm" takes the class
     whose stored-exemplar mean is nearest in Euclidean distance; it needs a
-    rehearsal memory with at least one stored point.
+    rehearsal memory with at least one stored point. Ties resolve to the
+    lowest class id.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.num_features,):
-        raise ValidationError(
-            f"input has shape {x.shape}, expected ({model.num_features},)"
-        )
-    return int(predict(model, x[None, :], mode=mode, memory=memory)[0])
-
-
-def predict(model: SoftmaxModel, X, mode: str = "argmax", memory=None) -> np.ndarray:
-    """Vectorized :func:`classify` over the rows of X."""
     X = np.asarray(X, dtype=np.float64)
     if mode == "argmax":
         if model.num_classes == 0:
@@ -414,43 +337,3 @@ def predict(model: SoftmaxModel, X, mode: str = "argmax", memory=None) -> np.nda
     best = scores.max(axis=1, keepdims=True)
     candidates = np.where(scores == best, ids[None, :], np.iinfo(np.int64).max)
     return candidates.min(axis=1)
-
-
-def save_model(path, model: SoftmaxModel) -> None:
-    """Write a checkpoint: versioned header, class ids, f64 W and b, all LE."""
-    k, d = model.weights.shape
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<III", MODEL_FORMAT_VERSION, k, d))
-        fh.write(np.asarray(model.class_ids, dtype="<i8").tobytes())
-        fh.write(model.weights.astype("<f8").tobytes(order="C"))
-        fh.write(model.bias.astype("<f8").tobytes())
-
-
-def load_model(path) -> SoftmaxModel:
-    """Read a checkpoint written by :func:`save_model`, byte-exactly."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MODEL_MAGIC:
-        raise FileFormatError(f"{path}: bad magic, not a model checkpoint")
-    if len(blob) < 16:
-        raise FileFormatError(f"{path}: truncated checkpoint header")
-    version, k, d = struct.unpack("<III", blob[4:16])
-    if version != MODEL_FORMAT_VERSION:
-        raise FileFormatError(f"{path}: unsupported checkpoint version {version}")
-    expected = 16 + 8 * k + 8 * k * d + 8 * k
-    if len(blob) != expected:
-        raise FileFormatError(
-            f"{path}: expected {expected} bytes for {k} classes x {d} features"
-        )
-    offset = 16
-    ids = np.frombuffer(blob[offset : offset + 8 * k], dtype="<i8")
-    offset += 8 * k
-    weights = np.frombuffer(blob[offset : offset + 8 * k * d], dtype="<f8").reshape(
-        k, d
-    )
-    offset += 8 * k * d
-    bias = np.frombuffer(blob[offset:], dtype="<f8")
-    return SoftmaxModel(
-        weights=weights.copy(), bias=bias.copy(), class_ids=tuple(int(i) for i in ids)
-    )

@@ -215,17 +215,6 @@ def principal_directions(X, p: int) -> DirectionBasis:
     )
 
 
-def project(X, v) -> np.ndarray:
-    """Dot product of every row of X with the direction v."""
-    A = as_data_matrix(X)
-    w = np.asarray(v, dtype=np.float64)
-    if w.shape != (A.shape[1],):
-        raise ValidationError(
-            f"direction has dimension {w.shape}, expected ({A.shape[1]},)"
-        )
-    return A @ w
-
-
 def random_unit_directions(d: int, k: int, rng: RngState) -> DirectionBasis:
     """k seeded isotropic unit directions in R^d, sign-normalized."""
     if d < 1 or k < 1:

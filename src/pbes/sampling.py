@@ -114,8 +114,11 @@ def randp_sample(
 
     Control variant of :func:`pbes_sample`: the loop, parity rule, and median
     rule are identical, only the directions differ. ``pool_size`` is the
-    number of random directions drawn (defaults to the pass count); if the
-    loop needs more passes than the pool holds, directions cycle.
+    number of random directions (defaults to the pass count); if the loop
+    needs more passes than the pool holds, directions cycle. Directions past
+    the pass count would never be read, and draws come in sequence from one
+    generator, so only ``min(pool_size, passes)`` are drawn: every pool of at
+    least the pass count selects the same rows.
     """
     A = as_data_matrix(X)
     n, d = A.shape
@@ -124,7 +127,7 @@ def randp_sample(
     k = passes if pool_size is None else pool_size
     if k < 1:
         raise ValidationError(f"direction pool size must be >= 1, got {k}")
-    basis = random_unit_directions(d, k, rng)
+    basis = random_unit_directions(d, min(k, passes), rng)
     indices, appended = _median_select(A, basis.directions, passes, m)
     return ExemplarSelection("randp", tuple(indices), appended)
 

@@ -179,8 +179,13 @@ def _plane_basis(dims: int, gen: np.random.Generator) -> tuple[np.ndarray, np.nd
         return u, v / nv
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def generate_synthetic_stream(spec: SyntheticStreamSpec, seed: int) -> TaskStream:
-    """Build a deterministic blob stream from the spec and a master seed."""
+    """Build a deterministic blob stream from the spec and a master seed.
+
+    Overflow is not warned about but checked: a class whose points leave the
+    float64 range is a validation error.
+    """
     sizes = spec.class_sizes()
     root = RngState(seed).derive("stream")
     u, v = _plane_basis(spec.dims, root.derive("plane").generator())
@@ -206,6 +211,11 @@ def generate_synthetic_stream(spec: SyntheticStreamSpec, seed: int) -> TaskStrea
                     norm = 1.0
                 pts[row] = pts[row] + spec.outlier_distance * spec.blob_std * (
                     direction / norm
+                )
+            if not np.isfinite(pts).all():
+                raise ValidationError(
+                    f"class {cid} has points beyond float64 range; lower blob_std, "
+                    f"layout_radius or outlier_distance"
                 )
             order = gen.permutation(n_c)
             n_test = max(1, int(round(spec.test_fraction * n_c)))

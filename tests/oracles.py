@@ -9,13 +9,20 @@ import math
 
 import numpy as np
 
-from pbes.errors import NumericalError
+from pbes.errors import NumericalError, ValidationError
 from pbes.model import (
     SoftmaxModel,
     TrainingBatch,
+    _check_teacher,
+    _distill_rows,
     _extend_for_new_classes,
     loss_gradient,
+    softmax_with_temperature,
 )
+from pbes.numerics import random_unit_directions
+from pbes.sampling import _median_select, direction_count
+
+_PROB_FLOOR = 1e-300
 
 
 def column_mean(X):
@@ -111,6 +118,75 @@ def greedy_herding(X, m):
         chosen.append(best)
         total = total + X[best]
     return chosen
+
+
+def cross_entropy_loss(
+    batch: TrainingBatch, model: SoftmaxModel, temperature: float = 1.0
+) -> float:
+    """Summed cross-entropy over all current classes (temperature 1 by default)."""
+    if len(batch.class_ids) != model.num_classes:
+        raise ValidationError(
+            f"label width {len(batch.class_ids)} != model classes {model.num_classes}"
+        )
+    probs = softmax_with_temperature(model.logits(batch.inputs), temperature)
+    return float(-(batch.labels * np.log(np.maximum(probs, _PROB_FLOOR))).sum())
+
+
+def distillation_loss(student_logits_old, teacher_logits, temperature: float) -> float:
+    """Summed soft cross-entropy between temperature-softened distributions.
+
+    Both logit matrices cover only the old classes; each row is normalized
+    over those columns alone.
+    """
+    s = np.asarray(student_logits_old, dtype=np.float64)
+    t = np.asarray(teacher_logits, dtype=np.float64)
+    if s.shape != t.shape or s.ndim != 2:
+        raise ValidationError(f"logit shapes {s.shape} and {t.shape} must match")
+    if s.shape[1] < 1:
+        raise ValidationError("distillation needs at least one old class")
+    if not temperature > 1.0:
+        raise ValidationError(f"distillation temperature must be > 1, got {temperature}")
+    if s.shape[0] == 0:
+        return 0.0
+    p = softmax_with_temperature(s, temperature)
+    q = softmax_with_temperature(t, temperature)
+    return float(-(q * np.log(np.maximum(p, _PROB_FLOOR))).sum())
+
+
+def combine_losses(distill: float, cross_entropy: float, beta: float) -> float:
+    """beta-weighted sum of the two loss terms."""
+    return beta * distill + (1.0 - beta) * cross_entropy
+
+
+def combined_loss(batch, model, teacher, config) -> float:
+    """The value whose gradient ``pbes.model.loss_gradient`` computes.
+
+    Cross-entropy plus distillation against the teacher, beta-weighted;
+    without a teacher (first task) the result is the plain cross-entropy,
+    i.e. beta is treated as 0.
+    """
+    ce = cross_entropy_loss(batch, model, config.ce_temperature())
+    if teacher is None or teacher.num_classes == 0:
+        return ce
+    _check_teacher(model, teacher)
+    rows = _distill_rows(batch, config)
+    if not rows.any():
+        distill = 0.0
+    else:
+        student = model.logits(batch.inputs[rows])[:, : teacher.num_classes]
+        distill = distillation_loss(
+            student, teacher.logits(batch.inputs[rows]), config.temperature
+        )
+    return combine_losses(distill, ce, config.beta)
+
+
+def randp_full_pool(X, m, rng, pool_size):
+    """randp selection with every one of ``pool_size`` directions drawn."""
+    A = np.asarray(X, dtype=float)
+    passes = direction_count(A.shape[0], m)
+    basis = random_unit_directions(A.shape[1], pool_size, rng)
+    indices, appended = _median_select(A, basis.directions, passes, m)
+    return tuple(indices), appended
 
 
 def finite_difference_gradient(fun, W, b, eps=1e-5):

@@ -11,23 +11,15 @@ import time
 import numpy as np
 import pytest
 
-from pbes.augmentation import augment_class, balance_plan
-from pbes.benchmark import (
-    BLOB_BUDGET_SWEEP,
-    BLOB_SEEDS,
-    final_avg_accuracy,
-    last_accuracy,
-    run_mode,
-)
+from pbes.augmentation import augment_class_records, balance_plan
+from pbes.benchmark import BLOB_BUDGET_SWEEP, BLOB_SEEDS, blob_config
 from pbes.cli import main as cli_main
+from pbes.harness import run_experiment
 from pbes.metrics import evaluate
 from pbes.model import (
     LossConfig,
     SoftmaxModel,
     TrainingBatch,
-    combine_losses,
-    combined_loss,
-    distillation_loss,
     loss_gradient,
     one_hot,
     softmax_with_temperature,
@@ -36,7 +28,13 @@ from pbes.numerics import RngState, covariance, principal_directions, sign_norma
 from pbes.sampling import pbes_sample
 from pbes.stats import dataset_stats
 
-from oracles import classical_jacobi, finite_difference_gradient
+from oracles import (
+    classical_jacobi,
+    combine_losses,
+    combined_loss,
+    distillation_loss,
+    finite_difference_gradient,
+)
 
 
 def report(number: int, passed: bool, detail: str) -> None:
@@ -181,9 +179,9 @@ def test_criterion_06_augmentation_exactness():
     balanced_counts = {}
     clean_cut = True
     for cid, images in classes.items():
-        extra = augment_class(images, plan.counts[cid], RngState(5).derive(cid))
+        extra = augment_class_records(images, plan.counts[cid], RngState(5).derive(cid))
         balanced_counts[cid] = len(images) + len(extra)
-        for out in extra:
+        for out in (rec.image for rec in extra):
             match = False
             for src in images:
                 diff = np.any(out != src, axis=0)
@@ -222,7 +220,10 @@ def blob_last_accuracies():
         ("upperbound", "upperbound", "pbes"),
     ]:
         last[name] = np.array(
-            [last_accuracy(run_mode(mode, seed, sampler=sampler)) for seed in BLOB_SEEDS]
+            [
+                run_experiment(blob_config(mode, seed, sampler=sampler))[-1].accuracy
+                for seed in BLOB_SEEDS
+            ]
         )
     return last, time.perf_counter() - started
 
@@ -252,7 +253,7 @@ def test_criterion_08_budget_monotonicity():
     means = []
     for budget in BLOB_BUDGET_SWEEP:
         values = [
-            final_avg_accuracy(run_mode("method", seed, budget=budget))
+            run_experiment(blob_config("method", seed, budget=budget))[-1].avg_accuracy
             for seed in BLOB_SEEDS
         ]
         means.append(float(np.mean(values)))

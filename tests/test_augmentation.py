@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from pbes.augmentation import (
     AugmentParams,
     Region,
-    augment_class,
     augment_class_records,
     balance_plan,
     binary_mask,
@@ -238,19 +237,19 @@ def _zero_rectangle_of(source, out):
 
 class TestAugmentClass:
     def test_zero_count(self):
-        assert augment_class([np.ones((1, 2, 2))], 0, RngState(0)) == []
+        assert augment_class_records([np.ones((1, 2, 2))], 0, RngState(0)) == []
 
     def test_empty_class_errors(self):
         with pytest.raises(ValidationError):
-            augment_class([], 2, RngState(0))
+            augment_class_records([], 2, RngState(0))
 
     def test_outputs_are_single_cut_copies(self):
         gen = np.random.default_rng(12)
         images = [gen.random((2, 8, 8)).astype(np.float32) for _ in range(2)]
-        outs = augment_class(images, 3, RngState(3))
-        assert len(outs) == 3
-        for out in outs:
-            assert any(_zero_rectangle_of(src, out) for src in images)
+        records = augment_class_records(images, 3, RngState(3))
+        assert len(records) == 3
+        for rec in records:
+            assert any(_zero_rectangle_of(src, rec.image) for src in images)
 
     def test_records_point_to_true_source(self):
         gen = np.random.default_rng(13)
@@ -269,9 +268,10 @@ class TestAugmentClass:
     def test_deterministic_given_rng(self):
         gen = np.random.default_rng(14)
         images = [gen.random((1, 5, 5)) for _ in range(2)]
-        a = augment_class(images, 4, RngState(21))
-        b = augment_class(images, 4, RngState(21))
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        a = augment_class_records(images, 4, RngState(21))
+        b = augment_class_records(images, 4, RngState(21))
+        assert [(r.source_index, r.region) for r in a] == [(r.source_index, r.region) for r in b]
+        assert all(np.array_equal(x.image, y.image) for x, y in zip(a, b))
 
     def test_balance_exactness(self):
         gen = np.random.default_rng(15)
@@ -281,12 +281,12 @@ class TestAugmentClass:
         }
         plan = balance_plan(sizes)
         for cid, imgs in classes.items():
-            extra = augment_class(imgs, plan.counts[cid], RngState(1).derive(cid))
+            extra = augment_class_records(imgs, plan.counts[cid], RngState(1).derive(cid))
             assert len(imgs) + len(extra) == max(sizes.values())
 
     def test_saliency_shape_mismatch_errors(self):
         with pytest.raises(ValidationError):
-            augment_class(
+            augment_class_records(
                 [np.ones((1, 4, 4))], 1, RngState(0), saliencies=[np.ones((3, 3))]
             )
 

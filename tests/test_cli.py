@@ -72,6 +72,15 @@ BAD_PBSM = {
     "negative": ((2, 2), [1.0, -0.5, 1.0, 1.0]),
 }
 
+# Specs whose generated points leave the float64 range.
+OVERFLOWING_SPECS = [
+    pytest.param({"blob_std": 1e308}, id="blob_std"),
+    pytest.param(
+        {"blob_std": 10.0, "outlier_distance": 1e308, "outlier_fraction": 0.5},
+        id="outlier_distance",
+    ),
+]
+
 
 class TestSample:
     def test_pbes_matches_hand_trace(self, tmp_path, five_point_csv):
@@ -171,6 +180,19 @@ class TestSample:
                        "--seed", 0, "--randp-pool", 5, "--out", tmp_path / "sel") == 2
         assert "randp_pool only applies to the randp sampler" in capsys.readouterr().err
         assert not (tmp_path / "sel").exists()
+
+    def test_randp_pool_beyond_pass_count_changes_nothing(self, tmp_path):
+        # m = 5 of 40 rows needs 3 passes; only that many directions are drawn.
+        path = tmp_path / "points.csv"
+        rows = np.random.default_rng(40).normal(size=(40, 5))
+        write_dataset_csv(path, LabeledDataset(rows, [0] * 40))
+        picked = []
+        for i, pool in enumerate([[], ["--randp-pool", 10**12]]):
+            out = tmp_path / f"sel{i}"
+            assert run_cli("sample", "--input", path, "--method", "randp", "--m", 5,
+                           "--seed", 7, *pool, "--out", out) == 0
+            picked.append((out / "indices.txt").read_bytes())
+        assert picked[0] == picked[1]
 
 
 class TestRun:
@@ -366,6 +388,22 @@ class TestOverrides:
     def test_non_object_section_is_validation_error(self, tmp_path):
         config = minimal_config(tmp_path, loss=[1, 2, 3])
         assert run_cli("run", "--config", config, "--out", tmp_path / "m.csv") == 2
+
+
+@pytest.mark.parametrize("synthetic", OVERFLOWING_SPECS)
+def test_overflowing_synthetic_spec_is_validation_error(tmp_path, capsys, synthetic):
+    spec = {"classes": 4, "tasks": 2, "dims": 3, **synthetic}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    config = minimal_config(tmp_path, stream={"synthetic": spec})
+    for argv in (
+        ["gen", "--config", spec_path, "--seed", 5, "--out", tmp_path / "o"],
+        ["run", "--config", config, "--out", tmp_path / "o.csv"],
+    ):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in ("blob_std", "layout_radius", "outlier_distance"))
+        assert not argv[-1].exists()
 
 
 class TestGen:
@@ -647,6 +685,20 @@ def make_class_dir(root, cid, images):
     return class_dir
 
 
+@pytest.mark.parametrize("name", ["01", "+1", "1_0", "-0"])
+def test_non_canonical_class_dir_is_validation_error(tmp_path, capsys, name):
+    # int() reads each name, but only the decimal form of an id names a class.
+    root = tmp_path / "imgs"
+    make_class_dir(root, 0, [np.ones((1, 2, 2)) for _ in range(2)])
+    make_class_dir(root, 1, [np.ones((1, 2, 2))])
+    bad_dir = make_class_dir(root, name, [np.zeros((1, 2, 2))])
+    for command, extra in (("stats", []), ("augment", ["--seed", 3])):
+        out = tmp_path / command
+        assert run_cli(command, "--input", root, "--out", out, *extra) == 2
+        assert f"{bad_dir}: " in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestStats:
     def test_variance_and_histogram(self, tmp_path):
         gen = np.random.default_rng(0)
@@ -726,21 +778,30 @@ class TestAugment:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "suffix,bad",
-        [(".pbim", bad) for bad in sorted(BAD_PBIM)]
-        + [(".pbsm", bad) for bad in sorted(BAD_PBSM)],
+        "suffix,bad,cid",
+        [pytest.param(".pbim", bad, 1, id=f".pbim-{bad}") for bad in sorted(BAD_PBIM)]
+        + [pytest.param(".pbsm", bad, 1, id=f".pbsm-{bad}") for bad in sorted(BAD_PBSM)]
+        + [
+            pytest.param(".pbim", bad, 0, id=f".pbim-{bad}-largest_class")
+            for bad in sorted(BAD_PBIM)
+        ],
     )
-    def test_invalid_image_or_saliency_is_format_error(self, tmp_path, capsys, suffix, bad):
+    def test_invalid_image_or_saliency_is_format_error(
+        self, tmp_path, capsys, suffix, bad, cid
+    ):
+        # Class 1 needs new images and class 0, the largest, is only copied;
+        # either way nothing is written.
         root = tmp_path / "imgs"
         make_class_dir(root, 0, [np.ones((1, 2, 2)) for _ in range(3)])
         class_dir = make_class_dir(root, 1, [np.ones((1, 2, 2))])
         write_pbsm(class_dir / "img_000.pbsm", np.ones((2, 2)))
-        bad_path = class_dir / f"img_000{suffix}"
+        bad_path = root / str(cid) / f"img_000{suffix}"
         table = BAD_PBIM if suffix == ".pbim" else BAD_PBSM
         write_raw(bad_path, suffix[1:].upper().encode(), *table[bad])
-        assert run_cli("augment", "--input", root, "--out", tmp_path / "out",
-                       "--seed", 3) == 3
+        out = tmp_path / "out"
+        assert run_cli("augment", "--input", root, "--out", out, "--seed", 3) == 3
         assert f"{bad_path}: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_deterministic_given_seed(self, tmp_path):
         gen = np.random.default_rng(2)

@@ -11,22 +11,22 @@ from pbes.model import (
     LossConfig,
     SoftmaxModel,
     TrainingBatch,
-    classify,
-    combine_losses,
-    combined_loss,
-    cross_entropy_loss,
-    distillation_loss,
-    load_model,
     loss_gradient,
     make_teacher,
     one_hot,
     predict,
-    save_model,
     softmax_with_temperature,
     train_task,
 )
 
-from oracles import finite_difference_gradient, train_task_reference
+from oracles import (
+    combine_losses,
+    combined_loss,
+    cross_entropy_loss,
+    distillation_loss,
+    finite_difference_gradient,
+    train_task_reference,
+)
 
 
 def random_instance(gen, n_classes=None, n_old=None, n=None, d=None):
@@ -436,60 +436,42 @@ class _MeanMemory:
 
 
 class TestClassify:
+    """Classification through ``predict``, one row or many."""
+
     def test_zero_model_ties_resolve_to_lowest_id(self):
         model = SoftmaxModel(np.zeros((3, 2)), np.zeros(3), (5, 2, 9))
-        assert classify(model, np.array([1.0, -1.0])) == 2
+        assert predict(model, [[1.0, -1.0], [0.0, 3.0]]).tolist() == [2, 2]
 
     def test_ncm_geometry(self):
         model = SoftmaxModel(np.zeros((2, 2)), np.zeros(2), (0, 1))
         memory = _MeanMemory([0, 1], [[0.0, 0.0], [10.0, 0.0]])
-        assert classify(model, np.array([1.0, 0.0]), mode="ncm", memory=memory) == 0
-        assert classify(model, np.array([9.0, 0.0]), mode="ncm", memory=memory) == 1
+        X = [[1.0, 0.0], [9.0, 0.0]]
+        assert predict(model, X, mode="ncm", memory=memory).tolist() == [0, 1]
 
     def test_argmax_matches_linear_scan(self):
         gen = np.random.default_rng(11)
         model = SoftmaxModel(gen.normal(size=(4, 3)), gen.normal(size=4), (3, 1, 7, 2))
-        for _ in range(20):
-            x = gen.normal(size=3)
+        X = gen.normal(size=(20, 3))
+        expected = []
+        for x in X:
             logits = model.weights @ x + model.bias
             best, best_id = -np.inf, None
             for cid, logit in zip(model.class_ids, logits):
                 if logit > best or (logit == best and cid < best_id):
                     best, best_id = logit, cid
-            assert classify(model, x) == best_id
+            expected.append(best_id)
+        assert predict(model, X).tolist() == expected
 
     def test_ncm_empty_memory_errors(self):
         model = SoftmaxModel(np.zeros((1, 2)), np.zeros(1), (0,))
         memory = _MeanMemory(np.zeros(0), np.zeros((0, 2)))
         with pytest.raises(ValidationError):
-            classify(model, np.zeros(2), mode="ncm", memory=memory)
+            predict(model, np.zeros((1, 2)), mode="ncm", memory=memory)
 
     def test_unknown_mode(self):
         model = SoftmaxModel(np.zeros((1, 1)), np.zeros(1), (0,))
         with pytest.raises(ValidationError):
-            classify(model, np.zeros(1), mode="centroid")
-
-
-class TestCheckpoint:
-    def test_round_trip_byte_exact(self, tmp_path):
-        gen = np.random.default_rng(12)
-        model = SoftmaxModel(gen.normal(size=(3, 4)), gen.normal(size=3), (2, 5, 11))
-        path = tmp_path / "model.bin"
-        save_model(path, model)
-        back = load_model(path)
-        assert back.class_ids == model.class_ids
-        assert np.array_equal(back.weights, model.weights)
-        assert np.array_equal(back.bias, model.bias)
-        save_model(tmp_path / "again.bin", back)
-        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"WHAT" + b"\x00" * 32)
-        from pbes.errors import FileFormatError
-
-        with pytest.raises(FileFormatError):
-            load_model(path)
+            predict(model, np.zeros((1, 1)), mode="centroid")
 
 
 class TestLossConfigValidation:

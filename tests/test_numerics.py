@@ -10,7 +10,6 @@ from pbes.numerics import (
     covariance,
     mean_vector,
     principal_directions,
-    project,
     random_unit_directions,
     sign_normalize,
 )
@@ -145,43 +144,6 @@ class TestSignNormalize:
     def test_tie_uses_earliest_component(self):
         v = np.array([-0.5, 0.5])
         assert np.array_equal(sign_normalize(v), [0.5, -0.5])
-
-
-class TestProject:
-    def test_axis_projections(self):
-        X = [[1.0, 2.0], [3.0, 4.0]]
-        assert np.array_equal(project(X, [1.0, 0.0]), [1.0, 3.0])
-        assert np.array_equal(project(X, [0.0, 1.0]), [2.0, 4.0])
-
-    def test_matches_dot_oracle(self):
-        gen = np.random.default_rng(41)
-        X = gen.normal(size=(6, 4))
-        v = gen.normal(size=4)
-        v /= np.linalg.norm(v)
-        expected = [sum(X[i, j] * v[j] for j in range(4)) for i in range(6)]
-        assert np.allclose(project(X, v), expected, atol=1e-12, rtol=0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValidationError):
-            project([[1.0, 2.0]], [1.0, 0.0, 0.0])
-
-    @given(
-        st.lists(
-            st.lists(st.floats(-10, 10, allow_nan=False, width=32), min_size=3, max_size=3),
-            min_size=1,
-            max_size=6,
-        ),
-        st.lists(st.floats(-5, 5, allow_nan=False, width=32), min_size=3, max_size=3),
-        st.lists(st.floats(-5, 5, allow_nan=False, width=32), min_size=3, max_size=3),
-        st.floats(-3, 3, allow_nan=False, width=32),
-    )
-    def test_linearity(self, rows, u, v, scale):
-        X = np.array(rows)
-        u = np.array(u)
-        v = np.array(v)
-        lhs = scale * project(X, u) + project(X, v)
-        rhs = project(X, scale * u + v)
-        assert np.allclose(lhs, rhs, atol=1e-12 * (1 + np.abs(rhs).max()))
 
 
 class TestRandomUnitDirections:

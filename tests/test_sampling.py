@@ -14,7 +14,7 @@ from pbes.sampling import (
     sample,
 )
 
-from oracles import greedy_herding
+from oracles import greedy_herding, randp_full_pool
 
 
 def column(values):
@@ -68,10 +68,10 @@ class TestPbesSample:
         gen = np.random.default_rng(77)
         for n in (9, 10):
             X = gen.normal(size=(n, 4))
-            from pbes.numerics import principal_directions, project
+            from pbes.numerics import principal_directions
 
             v = principal_directions(X, 1).directions[0]
-            proj = project(X, v)
+            proj = X @ v
             order = sorted(range(n), key=lambda r: (proj[r], r))
             sel = pbes_sample(X, n)
             if n % 2 == 1:
@@ -141,6 +141,23 @@ class TestRandpSample:
         assert len(sel.ordered_indices) == 8
         with pytest.raises(ValidationError):
             randp_sample(X, 4, RngState(5), pool_size=0)
+
+    @given(
+        st.integers(1, 24).flatmap(
+            lambda n: st.tuples(
+                st.just(n), st.integers(1, 4), st.integers(1, n), st.integers(1, 16)
+            )
+        ),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_pool_matches_full_pool_draw(self, shape, seed):
+        # Pools below, at and above the pass count select as if all were drawn.
+        n, d, m, pool = shape
+        X = np.round(np.random.default_rng(seed).normal(size=(n, d)) * 2.0) / 2.0
+        sel = randp_sample(X, m, RngState(seed), pool_size=pool)
+        assert (sel.ordered_indices, sel.appended_count) == randp_full_pool(
+            X, m, RngState(seed), pool
+        )
 
 
 class TestHerdingSample:
