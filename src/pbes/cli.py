@@ -329,8 +329,9 @@ def cmd_augment(args) -> int:
         mode=args.search_mode,
         tau=args.tau,
     )
-    # Read and check every image, and the sidecars a class will use, before
-    # any output exists, so a bad file leaves no partial tree behind.
+    # Read and check every image, and the sidecars a class will use, then
+    # generate every new image before any output exists, so a bad file or an
+    # impossible cut leaves no partial tree behind.
     inputs = {}
     for cid, paths in sorted(per_class.items()):
         images = [read_pbim(p) for p in paths]
@@ -339,25 +340,24 @@ def cmd_augment(args) -> int:
         if plan.counts[cid] and all(s.exists() for s in sidecars):
             saliencies = [read_pbsm(s) for s in sidecars]
         inputs[cid] = images, saliencies
-    out_root = Path(args.out)
     rng = RngState(args.seed)
+    generated = {
+        cid: augment_class_records(
+            images,
+            plan.counts[cid],
+            rng.derive("augment", cid),
+            saliencies=saliencies,
+            params=params,
+        )
+        for cid, (images, saliencies) in inputs.items()
+    }
+    out_root = Path(args.out)
     for cid, paths in sorted(per_class.items()):
         out_dir = out_root / str(cid)
         out_dir.mkdir(parents=True, exist_ok=True)
         for path in paths:
             shutil.copyfile(path, out_dir / path.name)
-        count = plan.counts[cid]
-        if count == 0:
-            continue
-        images, saliencies = inputs[cid]
-        records = augment_class_records(
-            images,
-            count,
-            rng.derive("augment", cid),
-            saliencies=saliencies,
-            params=params,
-        )
-        for k, rec in enumerate(records):
+        for k, rec in enumerate(generated[cid]):
             write_pbim(out_dir / f"aug_{k:05d}.pbim", rec.image)
     print(
         f"balanced {len(per_class)} classes to {max(len(p) for p in per_class.values())} "
@@ -429,18 +429,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, FileFormatError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return ValidationError.exit_code
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FileFormatError.exit_code
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return NumericalError.exit_code
 
 
 if __name__ == "__main__":

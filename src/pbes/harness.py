@@ -267,7 +267,7 @@ def decision_flags(config: ExperimentConfig) -> dict:
     """Behavioural switches recorded alongside every run for provenance."""
     return {
         "covariance_divisor": "n",
-        "eigensolver": "cyclic-jacobi",
+        "eigensolver": "lapack-syevd",
         "direction_sign": "largest-magnitude-component-positive",
         "rank_fallback": "cycle-informative-directions",
         "cross_entropy_temperature": config.loss.ce_temperature(),

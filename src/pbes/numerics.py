@@ -2,9 +2,12 @@
 
 All reductions (means, covariance entries) go through ``math.fsum``, which
 returns the correctly rounded sum regardless of operand order. That makes the
-results bit-reproducible across runs and exactly invariant under row
-permutations of the input, which in turn keeps downstream median selections
-reproducible.
+covariance bit-reproducible everywhere and exactly invariant under row
+permutations of the input. Principal directions come from LAPACK's symmetric
+eigensolver via ``np.linalg.eigh``, whose bits depend on the numpy/LAPACK
+build and, for large matrices, on the BLAS thread count: directions and the
+median selections built on them are bit-reproducible for one numpy build
+and one thread count. Sums beyond the float64 range raise NumericalError.
 """
 
 from __future__ import annotations
@@ -15,13 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 # Eigenvalues below this fraction of the largest one count as zero rank.
 RANK_TOLERANCE = 1e-10
-# Jacobi sweeps stop once every off-diagonal is below this fraction of the trace.
-JACOBI_OFFDIAG_TOLERANCE = 1e-12
-_JACOBI_MAX_SWEEPS = 64
 
 
 def as_data_matrix(X) -> np.ndarray:
@@ -69,7 +69,7 @@ class RngState:
 
 @dataclass(frozen=True)
 class DirectionBasis:
-    """Ordered unit directions in R^dim.
+    """Ordered unit directions in R^d.
 
     ``source`` is "pca" for a plain principal basis, "random" for seeded
     isotropic draws, and "fallback" when the requested direction count
@@ -77,8 +77,7 @@ class DirectionBasis:
     canonical axes used for rank-0 input).
     """
 
-    dim: int
-    directions: np.ndarray  # (k, dim), unit rows, sign-normalized
+    directions: np.ndarray  # (k, d), unit rows, sign-normalized
     source: str
     eigenvalues: np.ndarray | None = None
     rank: int | None = None
@@ -100,70 +99,42 @@ def sign_normalize(v: np.ndarray) -> np.ndarray:
 
 
 def mean_vector(X) -> np.ndarray:
-    """Component-wise arithmetic mean of the rows of X."""
+    """Component-wise arithmetic mean of the rows of X.
+
+    A column sum beyond the float64 range raises NumericalError.
+    """
     A = as_data_matrix(X)
     n = A.shape[0]
-    return np.array([math.fsum(A[:, j].tolist()) / n for j in range(A.shape[1])])
+    try:
+        return np.array([math.fsum(A[:, j].tolist()) / n for j in range(A.shape[1])])
+    except OverflowError as exc:
+        raise NumericalError("column sums of the data overflow float64") from exc
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def covariance(X) -> np.ndarray:
     """Population covariance (divisor n) of the rows of X.
 
     Entries are exactly rounded sums, so the result is symmetric by
-    construction and exactly invariant under row permutation.
+    construction and exactly invariant under row permutation. An entry
+    beyond the float64 range raises NumericalError.
     """
     A = as_data_matrix(X)
     n, d = A.shape
     centered = A - mean_vector(A)
     cov = np.empty((d, d))
-    for a in range(d):
-        for b in range(a, d):
-            s = math.fsum((centered[:, a] * centered[:, b]).tolist()) / n
-            cov[a, b] = s
-            cov[b, a] = s
+    overflow = NumericalError("covariance of the data overflows float64")
+    try:
+        for a in range(d):
+            for b in range(a, d):
+                s = math.fsum((centered[:, a] * centered[:, b]).tolist()) / n
+                cov[a, b] = s
+                cov[b, a] = s
+    except (OverflowError, ValueError) as exc:  # huge terms, or both infinities
+        raise overflow from exc
+    if not np.isfinite(cov).all():
+        raise overflow
     return cov
-
-
-def _jacobi_eigensystem(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
-
-    Returns (eigenvalues, eigenvectors-as-columns), unsorted. Sweeps run over
-    the upper triangle in a fixed row-major order, so the result is a pure
-    function of the input.
-    """
-    d = S.shape[0]
-    a = np.array(S, dtype=np.float64, copy=True)
-    vecs = np.eye(d)
-    if d == 1:
-        return a.diagonal().copy(), vecs
-    thresh = JACOBI_OFFDIAG_TOLERANCE * abs(float(np.trace(a)))
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        upper = np.triu(a, k=1)
-        off = float(np.abs(upper).max())
-        if off <= thresh:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) <= thresh:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                vec_p = vecs[:, p].copy()
-                vec_q = vecs[:, q].copy()
-                vecs[:, p] = c * vec_p - s * vec_q
-                vecs[:, q] = s * vec_p + c * vec_q
-    return a.diagonal().copy(), vecs
 
 
 def principal_directions(X, p: int) -> DirectionBasis:
@@ -171,15 +142,19 @@ def principal_directions(X, p: int) -> DirectionBasis:
 
     When p exceeds the numerical rank r, the informative directions are cycled
     (direction i copies direction ((i-1) mod r)+1, 1-based) and the basis is
-    flagged fallback; rank-0 input falls back to canonical axis vectors. This
-    never fails, so a caller can always request the direction count its
-    selection loop needs.
+    flagged fallback; rank-0 input falls back to canonical axis vectors, so a
+    caller can always request the direction count its selection loop needs.
+    The eigenpairs come from LAPACK's symmetric solver (``np.linalg.eigh``);
+    its failure raises NumericalError.
     """
     if p < 1:
         raise ValidationError(f"direction count must be >= 1, got {p}")
     A = as_data_matrix(X)
     d = A.shape[1]
-    eigvals, eigvecs = _jacobi_eigensystem(covariance(A))
+    try:
+        eigvals, eigvecs = np.linalg.eigh(covariance(A))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigendecomposition of the covariance failed: {exc}") from exc
     order = np.argsort(-eigvals, kind="stable")
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
@@ -206,13 +181,7 @@ def principal_directions(X, p: int) -> DirectionBasis:
         source = "fallback"
     else:
         source = "pca"
-    return DirectionBasis(
-        dim=d,
-        directions=np.array(dirs),
-        source=source,
-        eigenvalues=np.array(vals),
-        rank=rank,
-    )
+    return DirectionBasis(np.array(dirs), source, np.array(vals), rank)
 
 
 def random_unit_directions(d: int, k: int, rng: RngState) -> DirectionBasis:
@@ -227,4 +196,4 @@ def random_unit_directions(d: int, k: int, rng: RngState) -> DirectionBasis:
         if norm < 1e-12:
             continue
         rows.append(sign_normalize(v / norm))
-    return DirectionBasis(dim=d, directions=np.array(rows), source="random")
+    return DirectionBasis(np.array(rows), "random")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .numerics import (
     RngState,
     as_data_matrix,
@@ -132,12 +132,14 @@ def randp_sample(
     return ExemplarSelection("randp", tuple(indices), appended)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def herding_sample(X, m: int) -> ExemplarSelection:
     """Greedy selection keeping the running exemplar mean near the class mean.
 
     At step k the unselected row minimizing
     ``|mean(X) - (x + sum of already selected) / k|`` is taken, without
-    replacement, ties by ascending row index.
+    replacement, ties by ascending row index. A step where no candidate's
+    distance is finite raises NumericalError.
     """
     A = as_data_matrix(X)
     n = A.shape[0]
@@ -156,6 +158,8 @@ def herding_sample(X, m: int) -> ExemplarSelection:
             if dist < best_dist:
                 best = r
                 best_dist = dist
+        if best < 0:
+            raise NumericalError(f"herding step {step}: every distance overflows float64")
         chosen.append(best)
         taken[best] = True
         running += A[best]

@@ -7,6 +7,8 @@ settings.register_profile(
     "suite",
     max_examples=50,
     deadline=None,
+    derandomize=True,
+    database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")

@@ -19,7 +19,7 @@ from pbes.model import (
     loss_gradient,
     softmax_with_temperature,
 )
-from pbes.numerics import random_unit_directions
+from pbes.numerics import RANK_TOLERANCE, covariance, random_unit_directions, sign_normalize
 from pbes.sampling import _median_select, direction_count
 
 _PROB_FLOOR = 1e-300
@@ -80,6 +80,84 @@ def classical_jacobi(S, tol=1e-13, max_iter=10000):
         a = rot.T @ a @ rot
         vecs = vecs @ rot
     return a.diagonal().copy(), vecs
+
+
+# Jacobi sweeps stop once every off-diagonal is below this fraction of the trace.
+JACOBI_OFFDIAG_TOLERANCE = 1e-12
+_JACOBI_MAX_SWEEPS = 64
+
+
+def cyclic_jacobi(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic Jacobi diagonalization of a symmetric matrix.
+
+    Returns (eigenvalues, eigenvectors-as-columns), unsorted. Sweeps run over
+    the upper triangle in a fixed row-major order, so the result is a pure
+    function of the input.
+    """
+    d = S.shape[0]
+    a = np.array(S, dtype=np.float64, copy=True)
+    vecs = np.eye(d)
+    if d == 1:
+        return a.diagonal().copy(), vecs
+    thresh = JACOBI_OFFDIAG_TOLERANCE * abs(float(np.trace(a)))
+    for _ in range(_JACOBI_MAX_SWEEPS):
+        upper = np.triu(a, k=1)
+        off = float(np.abs(upper).max())
+        if off <= thresh:
+            break
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                apq = a[p, q]
+                if abs(apq) <= thresh:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - s * col_q
+                a[:, q] = s * col_p + c * col_q
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * row_p - s * row_q
+                a[q, :] = s * row_p + c * row_q
+                vec_p = vecs[:, p].copy()
+                vec_q = vecs[:, q].copy()
+                vecs[:, p] = c * vec_p - s * vec_q
+                vecs[:, q] = s * vec_p + c * vec_q
+    return a.diagonal().copy(), vecs
+
+
+def cyclic_jacobi_basis(X, p):
+    """principal_directions(X, p) with the eigenpairs from cyclic_jacobi.
+
+    The steps after the eigensolve are written out: stable descending sort,
+    rank at RANK_TOLERANCE, unit norm and sign convention, then cycling the
+    informative directions (or canonical axes at rank 0) up to p. Returns
+    (directions, eigenvalues in descending order, rank).
+    """
+    A = np.asarray(X, dtype=float)
+    d = A.shape[1]
+    vals, vecs = cyclic_jacobi(covariance(A))
+    order = np.argsort(-vals, kind="stable")
+    vals = vals[order]
+    vecs = vecs[:, order]
+    rank = 0 if vals[0] <= 0.0 else int(np.sum(vals >= RANK_TOLERANCE * vals[0]))
+    if rank == 0:
+        return np.array([np.eye(d)[i % d] for i in range(p)]), vals, rank
+    informative = [
+        sign_normalize(vecs[:, i] / np.linalg.norm(vecs[:, i])) for i in range(min(p, rank))
+    ]
+    return np.array([informative[i % rank] for i in range(p)]), vals, rank
+
+
+def cyclic_jacobi_selection(X, m):
+    """pbes_sample's (ordered indices, appended count) on a cyclic_jacobi basis."""
+    A = np.asarray(X, dtype=float)
+    passes = direction_count(A.shape[0], m)
+    directions, _, _ = cyclic_jacobi_basis(A, passes)
+    return _median_select(A, directions, passes, m)
 
 
 def jacobi_principal_directions(X, p):

@@ -194,6 +194,31 @@ class TestSample:
             picked.append((out / "indices.txt").read_bytes())
         assert picked[0] == picked[1]
 
+    @pytest.mark.parametrize(
+        "value,method",
+        [(1e200, "pbes"), (1e200, "herding"), (1e308, "pbes"), (1e308, "herding")],
+    )
+    def test_overflowing_rows_are_numerical_error(self, tmp_path, capsys, value, method):
+        # Signs chosen so that column 0 sums past float64 at 1e308.
+        signs = [[1, 1], [1, -1], [1, 1], [-1, -1], [-1, 1]]
+        path = tmp_path / "huge.csv"
+        write_dataset_csv(path, LabeledDataset(value * np.array(signs, float), [0] * 5))
+        out = tmp_path / "sel"
+        assert run_cli("sample", "--input", path, "--method", method, "--m", 2,
+                       "--out", out) == 4
+        assert "overflow" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eigensolver_failure_is_numerical_error(self, tmp_path, capsys, monkeypatch,
+                                                    five_point_csv):
+        def no_convergence(S):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        assert run_cli("sample", "--input", five_point_csv, "--method", "pbes",
+                       "--m", 2, "--out", tmp_path / "sel") == 4
+        assert "did not converge" in capsys.readouterr().err
+
 
 class TestRun:
     def test_two_task_config_gives_two_rows(self, tmp_path):
@@ -801,6 +826,17 @@ class TestAugment:
         out = tmp_path / "out"
         assert run_cli("augment", "--input", root, "--out", out, "--seed", 3) == 3
         assert f"{bad_path}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_cut_leaves_no_partial_tree(self, tmp_path, capsys):
+        # Class 1's 2x2 images cannot take a 3-row region; class 0 sorts first.
+        root = tmp_path / "imgs"
+        make_class_dir(root, 0, [np.ones((1, 4, 4)) for _ in range(3)])
+        make_class_dir(root, 1, [np.ones((1, 2, 2))])
+        out = tmp_path / "out"
+        assert run_cli("augment", "--input", root, "--out", out, "--seed", 3,
+                       "--region-height", 3) == 2
+        assert "larger than map" in capsys.readouterr().err
         assert not out.exists()
 
     def test_deterministic_given_seed(self, tmp_path):

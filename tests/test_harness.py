@@ -225,5 +225,5 @@ class TestSweep:
 def test_decision_flags_cover_behavioural_switches():
     flags = decision_flags(tiny_config())
     assert flags["distill_scope"] == "all"
-    assert flags["eigensolver"] == "cyclic-jacobi"
+    assert flags["eigensolver"] == "lapack-syevd"
     assert flags["metrics_timing_column"] == "deterministic-zero"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pbes.errors import ValidationError
+from pbes.errors import NumericalError, ValidationError
 from pbes.numerics import (
     DirectionBasis,
     RngState,
@@ -15,6 +15,11 @@ from pbes.numerics import (
 )
 
 from oracles import column_mean, covariance_double_loop, jacobi_principal_directions
+
+# Five rows whose first column sums past float64 on the way (mean_vector),
+# and five whose centred products overflow (covariance).
+SUM_OVERFLOW = [[1e308, 1e308], [1e308, -1e308], [1e308, 1e308], [-1e308, -1e308], [-1e308, 1e308]]
+PRODUCT_OVERFLOW = [[1e200, -1e200], [-1e200, 1e200], [1e200, 1e200], [-1e200, -1e200], [1e200, -1e200]]
 
 small_matrix = st.integers(2, 7).flatmap(
     lambda n: st.integers(1, 4).flatmap(
@@ -50,6 +55,10 @@ class TestMeanVector:
         with pytest.raises(ValidationError):
             mean_vector(np.zeros((0, 3)))
 
+    def test_overflowing_sum_is_numerical_error(self):
+        with pytest.raises(NumericalError, match="overflow"):
+            mean_vector(SUM_OVERFLOW)
+
 
 class TestCovariance:
     def test_hand_two_points(self):
@@ -68,6 +77,16 @@ class TestCovariance:
         cov = covariance(X)
         assert np.array_equal(cov, cov.T)
         assert np.linalg.eigvalsh(cov).min() > -1e-12
+
+    @pytest.mark.parametrize("rows", [SUM_OVERFLOW, PRODUCT_OVERFLOW])
+    def test_overflow_is_numerical_error(self, rows):
+        # No RuntimeWarning either: the suite turns warnings into errors.
+        with pytest.raises(NumericalError, match="overflow"):
+            covariance(rows)
+
+    def test_huge_but_representable_entries(self):
+        cov = covariance([[2.0**500, 0.0], [-(2.0**500), 0.0]])
+        assert np.array_equal(cov, [[2.0**1000, 0.0], [0.0, 0.0]])
 
     @given(small_matrix, st.randoms(use_true_random=False))
     def test_exactly_permutation_invariant(self, rows, rnd):
