@@ -10,17 +10,15 @@ absolute deviation from the class mean image).
 
 from __future__ import annotations
 
+import math
 import struct
+from collections.abc import Callable
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import FileFormatError, ValidationError
 from .numerics import RngState
-
-PBIM_MAGIC = b"PBIM"
-PBSM_MAGIC = b"PBSM"
 
 
 def as_image(x) -> np.ndarray:
@@ -71,53 +69,15 @@ class Region:
             raise ValidationError(f"region {self} exceeds {h}x{w} bounds")
 
 
-@dataclass(frozen=True)
-class BalancePlan:
-    """Per-class counts of images to generate so every class matches the largest.
-
-    ``reference_class`` is the largest class (lowest id on ties) and always
-    has count 0.
-    """
-
-    counts: dict
-    reference_class: object
-
-
-def balance_plan(class_sizes: dict) -> BalancePlan:
-    """Counts needed to raise every class to the size of the largest one."""
+def balance_plan(class_sizes: dict) -> dict:
+    """Per-class counts of images to generate so every class matches the largest."""
     if not class_sizes:
         raise ValidationError("balance plan needs at least one class")
     for cid, size in class_sizes.items():
         if size < 1:
             raise ValidationError(f"class {cid!r} has size {size}, must be >= 1")
-    reference = min(
-        class_sizes, key=lambda cid: (-class_sizes[cid], cid)
-    )
-    target = class_sizes[reference]
-    counts = {cid: target - size for cid, size in class_sizes.items()}
-    return BalancePlan(counts=counts, reference_class=reference)
-
-
-def importance_score(saliency, region: Region) -> float:
-    """Sum of saliency weights inside the region."""
-    s = as_saliency(saliency)
-    region.check_within(*s.shape)
-    window = s[
-        region.top : region.top + region.height,
-        region.left : region.left + region.width,
-    ]
-    return float(window.sum())
-
-
-def binary_mask(region: Region, h: int, w: int) -> np.ndarray:
-    """h x w mask of ones inside the region and zeros elsewhere."""
-    region.check_within(h, w)
-    mask = np.zeros((h, w), dtype=np.uint8)
-    mask[
-        region.top : region.top + region.height,
-        region.left : region.left + region.width,
-    ] = 1
-    return mask
+    target = max(class_sizes.values())
+    return {cid: target - size for cid, size in class_sizes.items()}
 
 
 def selective_cut(image, region: Region) -> np.ndarray:
@@ -285,75 +245,69 @@ def augment_class_records(
     return out
 
 
+@dataclass(frozen=True)
+class _FloatCodec:
+    """Magic, u32 axis lengths, then float32 values little-endian in C order."""
+
+    magic: bytes
+    ndim: int
+    check: Callable[..., np.ndarray]
+
+    def write(self, path, values) -> None:
+        with np.errstate(over="ignore"):
+            payload = self.check(values).astype("<f4")
+        # The readers reject non-finite values, so refuse to write one.
+        if not np.isfinite(payload).all():
+            raise ValidationError(
+                f"{self.magic.decode()} values must lie within the float32 range"
+            )
+        with open(path, "wb") as fh:
+            fh.write(self.magic + struct.pack(f"<{self.ndim}I", *payload.shape))
+            fh.write(payload.tobytes())
+
+    def read(self, path) -> np.ndarray:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        kind = self.magic.decode()
+        if blob[:4] != self.magic:
+            raise FileFormatError(f"{path}: bad magic, not a {kind} file")
+        header = 4 + 4 * self.ndim
+        if len(blob) < header:
+            raise FileFormatError(f"{path}: truncated {kind} header")
+        shape = struct.unpack(f"<{self.ndim}I", blob[4:header])
+        expected = header + 4 * math.prod(shape)
+        if len(blob) != expected:
+            raise FileFormatError(
+                f"{path}: expected {expected} bytes for "
+                f"{'x'.join(map(str, shape))}, got {len(blob)}"
+            )
+        arr = np.frombuffer(blob[header:], dtype="<f4").reshape(shape).copy()
+        try:
+            self.check(arr)
+        except ValidationError as exc:
+            raise FileFormatError(f"{path}: {exc}") from None
+        return arr
+
+
+_PBIM = _FloatCodec(b"PBIM", 3, as_image)
+_PBSM = _FloatCodec(b"PBSM", 2, as_saliency)
+
+
 def write_pbim(path, image) -> None:
-    """Write an image as PBIM: magic, u32 c/h/w, then f32 pixels, planar LE."""
-    img = as_image(image).astype("<f4")
-    c, h, w = img.shape
-    with open(path, "wb") as fh:
-        fh.write(PBIM_MAGIC)
-        fh.write(struct.pack("<III", c, h, w))
-        fh.write(img.tobytes(order="C"))
-
-
-def _checked(path, check, arr: np.ndarray) -> np.ndarray:
-    """``arr`` if ``check`` accepts it, else a format error naming ``path``."""
-    try:
-        check(arr)
-    except ValidationError as exc:
-        raise FileFormatError(f"{path}: {exc}") from None
-    return arr
+    """Write a (c, h, w) image as PBIM: magic, u32 c/h/w, f32 pixels planar LE."""
+    _PBIM.write(path, image)
 
 
 def read_pbim(path) -> np.ndarray:
     """Read a PBIM image back as a float32 (c, h, w) array valid for ``as_image``."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != PBIM_MAGIC:
-        raise FileFormatError(f"{path}: bad magic, not a PBIM file")
-    if len(blob) < 16:
-        raise FileFormatError(f"{path}: truncated PBIM header")
-    c, h, w = struct.unpack("<III", blob[4:16])
-    expected = 16 + 4 * c * h * w
-    if len(blob) != expected:
-        raise FileFormatError(
-            f"{path}: expected {expected} bytes for {c}x{h}x{w}, got {len(blob)}"
-        )
-    image = np.frombuffer(blob[16:], dtype="<f4").reshape(c, h, w).copy()
-    return _checked(path, as_image, image)
+    return _PBIM.read(path)
 
 
 def write_pbsm(path, saliency) -> None:
-    """Write a saliency map as PBSM: magic, u32 h/w, then f32 weights LE."""
-    s = as_saliency(saliency).astype("<f4")
-    h, w = s.shape
-    with open(path, "wb") as fh:
-        fh.write(PBSM_MAGIC)
-        fh.write(struct.pack("<II", h, w))
-        fh.write(s.tobytes(order="C"))
+    """Write an (h, w) saliency map as PBSM: magic, u32 h/w, f32 weights LE."""
+    _PBSM.write(path, saliency)
 
 
 def read_pbsm(path) -> np.ndarray:
     """Read a PBSM saliency map as a float32 (h, w) array valid for ``as_saliency``."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != PBSM_MAGIC:
-        raise FileFormatError(f"{path}: bad magic, not a PBSM file")
-    if len(blob) < 12:
-        raise FileFormatError(f"{path}: truncated PBSM header")
-    h, w = struct.unpack("<II", blob[4:12])
-    expected = 12 + 4 * h * w
-    if len(blob) != expected:
-        raise FileFormatError(
-            f"{path}: expected {expected} bytes for {h}x{w}, got {len(blob)}"
-        )
-    saliency = np.frombuffer(blob[12:], dtype="<f4").reshape(h, w).copy()
-    return _checked(path, as_saliency, saliency)
-
-
-def read_pbim_dir(directory) -> tuple[list[np.ndarray], list[str]]:
-    """Read every .pbim file in a directory, sorted by filename."""
-    directory = Path(directory)
-    paths = sorted(directory.glob("*.pbim"))
-    if not paths:
-        raise FileFormatError(f"{directory}: no .pbim files found")
-    return [read_pbim(p) for p in paths], [p.name for p in paths]
+    return _PBSM.read(path)

@@ -32,6 +32,7 @@ from .augmentation import (
     SEARCH_MODES,
     AugmentParams,
     augment_class_records,
+    balance_plan,
     read_pbim,
     read_pbsm,
     write_pbim,
@@ -49,6 +50,7 @@ from .harness import (
 from .metrics import write_metrics_csv
 from .numerics import RngState
 from .sampling import SAMPLER_NAMES, sample
+from .stats import dataset_stats, write_histogram_csv, write_variance_csv
 from .stream import (
     LabeledDataset,
     SyntheticStreamSpec,
@@ -169,17 +171,23 @@ def _write_provenance(out_path: Path, doc: dict, config, wall_ms) -> None:
     )
 
 
+def _read_pbim_files(directory: Path) -> tuple[list[Path], list[np.ndarray]]:
+    """The sorted ``*.pbim`` files of ``directory`` and their images."""
+    paths = sorted(directory.glob("*.pbim"))
+    if not paths:
+        raise FileFormatError(f"{directory}: no .pbim files found")
+    return paths, [read_pbim(p) for p in paths]
+
+
 def _load_sample_rows(input_path: Path, label: int | None):
     """Rows to sample from: a dataset CSV (optionally one class) or a PBIM dir."""
     if input_path.is_dir():
-        from .augmentation import read_pbim_dir
-
-        images, names = read_pbim_dir(input_path)
-        for image, name in zip(images, names):
+        paths, images = _read_pbim_files(input_path)
+        for image, path in zip(images, paths):
             if image.shape != images[0].shape:
                 raise ValidationError(
-                    f"{input_path}: {name} has shape {image.shape}, "
-                    f"but {names[0]} has shape {images[0].shape}"
+                    f"{input_path}: {path.name} has shape {image.shape}, "
+                    f"but {paths[0].name} has shape {images[0].shape}"
                 )
         rows = np.vstack([img.reshape(-1).astype(np.float64) for img in images])
         labels = np.full(rows.shape[0], 0 if label is None else label, dtype=np.int64)
@@ -196,8 +204,6 @@ def _load_sample_rows(input_path: Path, label: int | None):
 def cmd_sample(args) -> int:
     if args.method in ("randp", "random") and args.seed is None:
         raise ValidationError(f"--seed is required for method {args.method!r}")
-    if args.randp_pool is not None and args.method != "randp":
-        raise ValidationError("randp_pool only applies to the randp sampler")
     rows, labels, original_rows = _load_sample_rows(Path(args.input), args.label)
     if not 1 <= args.m <= rows.shape[0]:
         raise ValidationError(
@@ -294,16 +300,12 @@ def _class_dirs(root: Path) -> list[tuple[int, Path]]:
 
 
 def cmd_stats(args) -> int:
-    from .stats import dataset_stats, write_histogram_csv, write_variance_csv
-
     images: list[np.ndarray] = []
     labels: list[int] = []
     for cid, child in _class_dirs(Path(args.input)):
-        for path in sorted(child.glob("*.pbim")):
-            images.append(read_pbim(path))
-            labels.append(cid)
-    if not images:
-        raise FileFormatError(f"{args.input}: no .pbim files found")
+        _, class_images = _read_pbim_files(child)
+        images += class_images
+        labels += [cid] * len(class_images)
     stats = dataset_stats(images, labels)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -314,15 +316,6 @@ def cmd_stats(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    from .augmentation import balance_plan
-
-    per_class: dict[int, list[Path]] = {}
-    for cid, child in _class_dirs(Path(args.input)):
-        paths = sorted(child.glob("*.pbim"))
-        if not paths:
-            raise FileFormatError(f"{child}: no .pbim files found")
-        per_class[cid] = paths
-    plan = balance_plan({cid: len(paths) for cid, paths in per_class.items()})
     params = AugmentParams(
         region_height=args.region_height,
         region_width=args.region_width,
@@ -332,37 +325,35 @@ def cmd_augment(args) -> int:
     # Read and check every image, and the sidecars a class will use, then
     # generate every new image before any output exists, so a bad file or an
     # impossible cut leaves no partial tree behind.
-    inputs = {}
-    for cid, paths in sorted(per_class.items()):
-        images = [read_pbim(p) for p in paths]
-        saliencies = None
+    classes = sorted(_class_dirs(Path(args.input)))
+    per_class = {cid: _read_pbim_files(child) for cid, child in classes}
+    plan = balance_plan({cid: len(paths) for cid, (paths, _) in per_class.items()})
+    saliencies = {}
+    for cid, (paths, _) in per_class.items():
         sidecars = [p.with_suffix(".pbsm") for p in paths]
-        if plan.counts[cid] and all(s.exists() for s in sidecars):
-            saliencies = [read_pbsm(s) for s in sidecars]
-        inputs[cid] = images, saliencies
+        if plan[cid] and all(s.exists() for s in sidecars):
+            saliencies[cid] = [read_pbsm(s) for s in sidecars]
     rng = RngState(args.seed)
     generated = {
         cid: augment_class_records(
             images,
-            plan.counts[cid],
+            plan[cid],
             rng.derive("augment", cid),
-            saliencies=saliencies,
+            saliencies=saliencies.get(cid),
             params=params,
         )
-        for cid, (images, saliencies) in inputs.items()
+        for cid, (_, images) in per_class.items()
     }
     out_root = Path(args.out)
-    for cid, paths in sorted(per_class.items()):
+    for cid, (paths, _) in per_class.items():
         out_dir = out_root / str(cid)
         out_dir.mkdir(parents=True, exist_ok=True)
         for path in paths:
             shutil.copyfile(path, out_dir / path.name)
         for k, rec in enumerate(generated[cid]):
             write_pbim(out_dir / f"aug_{k:05d}.pbim", rec.image)
-    print(
-        f"balanced {len(per_class)} classes to {max(len(p) for p in per_class.values())} "
-        f"images each under {out_root}"
-    )
+    target = max(len(paths) for paths, _ in per_class.values())
+    print(f"balanced {len(per_class)} classes to {target} images each under {out_root}")
     return 0
 
 

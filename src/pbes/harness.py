@@ -99,8 +99,7 @@ def _augment_task(train, class_ids, settings: AugmentSettings, rng: RngState):
     sizes = {int(cid): int(np.sum(train.labels == cid)) for cid in class_ids}
     plan = balance_plan(sizes)
     extra_points, extra_labels = [], []
-    for cid in sorted(plan.counts):
-        count = plan.counts[cid]
+    for cid, count in sorted(plan.items()):
         if count == 0:
             continue
         rows = train.rows_for(cid)

@@ -67,13 +67,14 @@ def _median_select(
     Pass i sorts the remaining rows by their projection on direction
     ``i mod len(directions)`` (stable, ties by ascending original row index)
     and appends the middle point, or the lower-then-higher middle pair when
-    the remaining count is even.
+    the remaining count is even. Each projection is a per-row reduction, so
+    equal rows get equal bits and the index rule decides between them.
     """
-    projections = A @ directions.T  # (n, k)
+    projections = [(A * v).sum(axis=1) for v in directions]
     remaining = list(range(A.shape[0]))
     appended: list[int] = []
     for i in range(passes):
-        proj = projections[:, i % directions.shape[0]]
+        proj = projections[i % len(projections)]
         ordered = sorted(remaining, key=lambda r: (proj[r], r))
         size = len(ordered)
         if size % 2 == 0:
@@ -190,6 +191,8 @@ def sample(
     pool_size: int | None = None,
 ) -> ExemplarSelection:
     """Dispatch to a sampler by name; randp/random require an RngState."""
+    if pool_size is not None and method != "randp":
+        raise ValidationError("randp_pool only applies to the randp sampler")
     if method == "pbes":
         return pbes_sample(X, m)
     if method == "herding":

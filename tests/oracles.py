@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from pbes.augmentation import Region, as_saliency
 from pbes.errors import NumericalError, ValidationError
 from pbes.model import (
     SoftmaxModel,
@@ -324,3 +325,14 @@ def train_task_reference(model, teacher, data, config):
                 if not (np.isfinite(W).all() and np.isfinite(b).all()):
                     raise NumericalError("training diverged")
     return SoftmaxModel(W, b, data.class_ids)
+
+
+def importance_score(saliency, region: Region) -> float:
+    """Sum of saliency weights inside the region."""
+    s = as_saliency(saliency)
+    region.check_within(*s.shape)
+    window = s[
+        region.top : region.top + region.height,
+        region.left : region.left + region.width,
+    ]
+    return float(window.sum())

@@ -179,7 +179,7 @@ def test_criterion_06_augmentation_exactness():
     balanced_counts = {}
     clean_cut = True
     for cid, images in classes.items():
-        extra = augment_class_records(images, plan.counts[cid], RngState(5).derive(cid))
+        extra = augment_class_records(images, plan[cid], RngState(5).derive(cid))
         balanced_counts[cid] = len(images) + len(extra)
         for out in (rec.image for rec in extra):
             match = False

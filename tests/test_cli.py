@@ -750,6 +750,16 @@ class TestStats:
         assert f"{class_dir / 'bad.pbim'}: " in capsys.readouterr().err
 
 
+    def test_empty_class_dir_is_io_error(self, tmp_path, capsys):
+        root = tmp_path / "imgs"
+        make_class_dir(root, 0, [np.ones((1, 2, 2))])
+        empty = make_class_dir(root, 1, [])
+        out = tmp_path / "s"
+        assert run_cli("stats", "--input", root, "--out", out) == 3
+        assert f"{empty}: no .pbim files found" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestAugment:
     def test_balances_class_counts(self, tmp_path):
         gen = np.random.default_rng(1)
@@ -856,3 +866,40 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("--version")
     assert exc.value.code == 0
+
+
+def test_image_commands_go_through_module_file_functions(tmp_path, monkeypatch):
+    # Benchmarks trace pbes.cli.read_pbim, read_pbsm and write_pbim, so every
+    # file a command reads or generates must pass through those attributes once.
+    calls = {}
+    for name in ("read_pbim", "read_pbsm", "write_pbim"):
+        def counted(path, *rest, _name=name, _real=getattr(pbes.cli, name)):
+            calls.setdefault(_name, []).append(Path(path).relative_to(tmp_path).as_posix())
+            return _real(path, *rest)
+
+        monkeypatch.setattr(pbes.cli, name, counted)
+
+    def files(pattern):
+        return sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.glob(pattern))
+
+    root = tmp_path / "imgs"
+    make_class_dir(root, 0, [np.full((1, 3, 3), float(i)) for i in range(4)])
+    class_dir = make_class_dir(root, 1, [np.full((1, 3, 3), 5.0)])
+    make_class_dir(root, 2, [np.full((1, 3, 3), 6.0), np.full((1, 3, 3), 7.0)])
+    write_pbsm(class_dir / "img_000.pbsm", np.ones((3, 3)))
+
+    assert run_cli("augment", "--input", root, "--out", tmp_path / "aug", "--seed", 1) == 0
+    assert sorted(calls.pop("read_pbim")) == files("imgs/*/*.pbim")
+    assert calls.pop("read_pbsm") == ["imgs/1/img_000.pbsm"]
+    assert sorted(calls.pop("write_pbim")) == files("aug/*/aug_*.pbim")
+    assert len(files("aug/*/aug_*.pbim")) == 5
+    assert calls == {}
+
+    assert run_cli("stats", "--input", root, "--out", tmp_path / "stats") == 0
+    assert sorted(calls.pop("read_pbim")) == files("imgs/*/*.pbim")
+    assert calls == {}
+
+    assert run_cli("sample", "--input", root / "0", "--method", "pbes", "--m", 2,
+                   "--out", tmp_path / "sel") == 0
+    assert calls.pop("read_pbim") == files("imgs/0/*.pbim")
+    assert calls == {}

@@ -108,6 +108,17 @@ class TestPbesSample:
         sel = pbes_sample(X, 2)
         assert sel.ordered_indices == (1, 2)  # lower/higher medians of 0,1,2,3
 
+    def test_duplicated_rows_tie_by_row_index(self):
+        # Rows 0 and 2 are equal; a matrix product projected them 2e-16 apart.
+        X = np.array(
+            [
+                [-6, 2, -5, 3, 0, -5, -5, -1, 2],
+                [2, 10, 9, -1, 0, -5, -3, -5, 1],
+                [-6, 2, -5, 3, 0, -5, -5, -1, 2],
+            ]
+        ) / 4
+        assert pbes_sample(X, 1).ordered_indices == (2,)  # sorted 0, 2, 1
+
 
 def family_rows(family, n, d, gen):
     """n x d rows of one input family, drawn from ``gen``."""
@@ -352,3 +363,9 @@ def test_sample_dispatch_requires_seed_for_stochastic():
         sample("randp", X, 2)
     with pytest.raises(ValidationError):
         sample("nope", X, 2, rng=RngState(0))
+
+
+@pytest.mark.parametrize("method", ["pbes", "herding", "random"])
+def test_sample_pool_size_needs_randp(method):
+    with pytest.raises(ValidationError, match="randp_pool only applies to the randp sampler"):
+        sample(method, column([1, 2, 3]), 1, rng=RngState(0), pool_size=5)
