@@ -1,13 +1,17 @@
 """Deterministic dense linear algebra for the samplers.
 
-All reductions (means, covariance entries) go through ``math.fsum``, which
-returns the correctly rounded sum regardless of operand order. That makes the
-covariance bit-reproducible everywhere and exactly invariant under row
-permutations of the input. Principal directions come from LAPACK's symmetric
-eigensolver via ``np.linalg.eigh``, whose bits depend on the numpy/LAPACK
-build and, for large matrices, on the BLAS thread count: directions and the
-median selections built on them are bit-reproducible for one numpy build
-and one thread count. Sums beyond the float64 range raise NumericalError.
+Means and covariance entries are exactly rounded sums: ``_exact_sums`` adds
+each row of a block of terms with vectorized error-free extraction (Rump,
+Ogita and Oishi, "Accurate floating-point summation", SIAM J. Sci. Comput.
+31(1), 2008) and hands the few exact partial sums to ``math.fsum``, so every
+sum equals ``math.fsum`` of its terms bit for bit, in any operand order. That
+makes the covariance bit-reproducible everywhere and exactly invariant under
+row permutations of the input. Principal directions come from LAPACK's
+symmetric eigensolver via ``np.linalg.eigh``, whose bits depend on the
+numpy/LAPACK build and, for large matrices, on the BLAS thread count:
+directions and the median selections built on them are bit-reproducible for
+one numpy build and one thread count. Sums beyond the float64 range raise
+NumericalError.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ from .errors import NumericalError, ValidationError
 
 # Eigenvalues below this fraction of the largest one count as zero rank.
 RANK_TOLERANCE = 1e-10
+
+# Terms per block summed at once by _exact_sums; bounds its temporaries.
+_BLOCK_TERMS = 1 << 14
 
 
 def as_data_matrix(X) -> np.ndarray:
@@ -98,17 +105,50 @@ def sign_normalize(v: np.ndarray) -> np.ndarray:
     return v.copy()
 
 
+def _exact_sums(block: np.ndarray) -> list[float]:
+    """``math.fsum`` of each row of a 2-D float64 block, bit for bit; overwrites it.
+
+    Each pass splits every row r into q + (r - q) with q = (sigma + r) - sigma,
+    sigma a power of two with sigma >= 2^M * max|r| and 2^M >= n + 2: the split
+    is exact, q.sum() is exact in any order, and the residue keeps the low
+    bits. Passes repeat until every residue is 0, and fsum rounds the few
+    exact partial sums. A block with a non-finite term, or one within 2^(M+2)
+    of overflow, is summed by fsum term by term, so it raises exactly what
+    fsum raises.
+    """
+    n = block.shape[1]
+    scale = (n + 1).bit_length()  # 2**scale >= n + 2
+    top = np.abs(block).max(axis=1)
+    if not (top < 2.0 ** (1022 - scale)).all():  # also false for NaN
+        return [math.fsum(row) for row in block.tolist()]
+    q = np.empty_like(block)
+    partials = []
+    while True:
+        sigma = np.ldexp(1.0, np.frexp(top)[1] + scale)[:, None]
+        np.add(block, sigma, out=q)
+        q -= sigma
+        block -= q
+        partials.append(q.sum(axis=1))
+        top = np.abs(block, out=q).max(axis=1)
+        if not top.any():
+            return [math.fsum(p) for p in np.array(partials).T.tolist()]
+
+
 def mean_vector(X) -> np.ndarray:
     """Component-wise arithmetic mean of the rows of X.
 
     A column sum beyond the float64 range raises NumericalError.
     """
     A = as_data_matrix(X)
-    n = A.shape[0]
+    n, d = A.shape
+    step = max(1, _BLOCK_TERMS // n)
+    sums: list[float] = []
     try:
-        return np.array([math.fsum(A[:, j].tolist()) / n for j in range(A.shape[1])])
+        for a in range(0, d, step):
+            sums += _exact_sums(np.array(A[:, a : a + step].T))
     except OverflowError as exc:
         raise NumericalError("column sums of the data overflow float64") from exc
+    return np.array(sums) / n
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -121,17 +161,20 @@ def covariance(X) -> np.ndarray:
     """
     A = as_data_matrix(X)
     n, d = A.shape
-    centered = A - mean_vector(A)
-    cov = np.empty((d, d))
+    columns = np.subtract(A.T, mean_vector(A)[:, None], order="C")  # row j: column j centred
+    rows, cols = np.triu_indices(d)
+    step = max(1, _BLOCK_TERMS // n)
+    sums: list[float] = []
     overflow = NumericalError("covariance of the data overflows float64")
     try:
-        for a in range(d):
-            for b in range(a, d):
-                s = math.fsum((centered[:, a] * centered[:, b]).tolist()) / n
-                cov[a, b] = s
-                cov[b, a] = s
+        for s in range(0, len(rows), step):
+            products = columns[rows[s : s + step]]
+            products *= columns[cols[s : s + step]]
+            sums += _exact_sums(products)
     except (OverflowError, ValueError) as exc:  # huge terms, or both infinities
         raise overflow from exc
+    cov = np.empty((d, d))
+    cov[rows, cols] = cov[cols, rows] = np.array(sums) / n
     if not np.isfinite(cov).all():
         raise overflow
     return cov

@@ -68,26 +68,23 @@ def _median_select(
     ``i mod len(directions)`` (stable, ties by ascending original row index)
     and appends the middle point, or the lower-then-higher middle pair when
     the remaining count is even. Each projection is a per-row reduction, so
-    equal rows get equal bits and the index rule decides between them.
+    equal rows get equal bits and the index rule decides between them. A
+    projection beyond the float64 range raises NumericalError.
     """
-    projections = [(A * v).sum(axis=1) for v in directions]
-    remaining = list(range(A.shape[0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        projections = [(A * v).sum(axis=1) for v in directions]
+    if not all(np.isfinite(p).all() for p in projections):
+        raise NumericalError("projections of the data on the directions overflow float64")
+    live = np.ones(A.shape[0], dtype=bool)
     appended: list[int] = []
     for i in range(passes):
         proj = projections[i % len(projections)]
-        ordered = sorted(remaining, key=lambda r: (proj[r], r))
+        remaining = np.flatnonzero(live)
+        ordered = remaining[np.argsort(proj[remaining], kind="stable")]
         size = len(ordered)
-        if size % 2 == 0:
-            lower = ordered[size // 2 - 1]
-            higher = ordered[size // 2]
-            appended.append(lower)
-            appended.append(higher)
-            remaining.remove(lower)
-            remaining.remove(higher)
-        else:
-            middle = ordered[(size - 1) // 2]
-            appended.append(middle)
-            remaining.remove(middle)
+        picks = ordered[(size - 1) // 2 : size // 2 + 1]  # the middle one or two
+        appended += picks.tolist()
+        live[picks] = False
     return appended[:m], len(appended)
 
 
@@ -147,23 +144,22 @@ def herding_sample(X, m: int) -> ExemplarSelection:
     _check_request(m, n)
     mu = mean_vector(A)
     chosen: list[int] = []
-    taken = np.zeros(n, dtype=bool)
+    live = np.arange(n)
     running = np.zeros(A.shape[1])
     for step in range(1, m + 1):
-        best = -1
-        best_dist = np.inf
-        for r in range(n):
-            if taken[r]:
-                continue
-            dist = float(np.linalg.norm(mu - (running + A[r]) / step))
-            if dist < best_dist:
-                best = r
-                best_dist = dist
-        if best < 0:
+        # mu - (running + x) / step for every live row x, as the per-row
+        # formula rounds it; vecdot is the BLAS ddot np.linalg.norm calls.
+        D = A[live]
+        D += running
+        D /= step
+        np.subtract(mu, D, out=D)
+        dist = np.sqrt(np.vecdot(D, D))  # inf where a square overflows, never NaN
+        best = int(np.argmin(dist))
+        if not dist[best] < np.inf:
             raise NumericalError(f"herding step {step}: every distance overflows float64")
-        chosen.append(best)
-        taken[best] = True
-        running += A[best]
+        chosen.append(int(live[best]))
+        running += A[live[best]]
+        live = np.delete(live, best)
     return ExemplarSelection("herding", tuple(chosen), None)
 
 

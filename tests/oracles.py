@@ -52,6 +52,90 @@ def covariance_double_loop(X):
     return cov / n
 
 
+def mean_fsum_loop(X):
+    """Column means, one math.fsum per column (the library's former loop)."""
+    A = np.asarray(X, dtype=float)
+    n = A.shape[0]
+    try:
+        return np.array([math.fsum(A[:, j].tolist()) / n for j in range(A.shape[1])])
+    except OverflowError as exc:
+        raise NumericalError("column sums of the data overflow float64") from exc
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def covariance_fsum_loop(X):
+    """Population covariance, one math.fsum per column pair (the former loop)."""
+    A = np.asarray(X, dtype=float)
+    n, d = A.shape
+    centered = A - mean_fsum_loop(A)
+    cov = np.empty((d, d))
+    overflow = NumericalError("covariance of the data overflows float64")
+    try:
+        for a in range(d):
+            for b in range(a, d):
+                s = math.fsum((centered[:, a] * centered[:, b]).tolist()) / n
+                cov[a, b] = s
+                cov[b, a] = s
+    except (OverflowError, ValueError) as exc:  # huge terms, or both infinities
+        raise overflow from exc
+    if not np.isfinite(cov).all():
+        raise overflow
+    return cov
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def herding_loop(X, m):
+    """Herding with one np.linalg.norm per candidate per step (the former loop)."""
+    A = np.asarray(X, dtype=float)
+    n = A.shape[0]
+    mu = mean_fsum_loop(A)
+    chosen = []
+    taken = np.zeros(n, dtype=bool)
+    running = np.zeros(A.shape[1])
+    for step in range(1, m + 1):
+        best = -1
+        best_dist = np.inf
+        for r in range(n):
+            if taken[r]:
+                continue
+            dist = float(np.linalg.norm(mu - (running + A[r]) / step))
+            if dist < best_dist:
+                best = r
+                best_dist = dist
+        if best < 0:
+            raise NumericalError(f"herding step {step}: every distance overflows float64")
+        chosen.append(best)
+        taken[best] = True
+        running += A[best]
+    return chosen
+
+
+def median_select_loop(A, directions, passes, m):
+    """The median loop with Python's sorted and list removal (the former loop).
+
+    Keys are (projection, row), so only finite projections order correctly.
+    """
+    projections = [(A * v).sum(axis=1) for v in directions]
+    remaining = list(range(A.shape[0]))
+    appended = []
+    for i in range(passes):
+        proj = projections[i % len(projections)]
+        ordered = sorted(remaining, key=lambda r: (proj[r], r))
+        size = len(ordered)
+        if size % 2 == 0:
+            lower = ordered[size // 2 - 1]
+            higher = ordered[size // 2]
+            appended.append(lower)
+            appended.append(higher)
+            remaining.remove(lower)
+            remaining.remove(higher)
+        else:
+            middle = ordered[(size - 1) // 2]
+            appended.append(middle)
+            remaining.remove(middle)
+    return appended[:m], len(appended)
+
+
 def classical_jacobi(S, tol=1e-13, max_iter=10000):
     """Classical Jacobi: zero the largest off-diagonal entry each step."""
     a = np.array(S, dtype=float)

@@ -196,16 +196,26 @@ class TestSample:
 
     @pytest.mark.parametrize(
         "value,method",
-        [(1e200, "pbes"), (1e200, "herding"), (1e308, "pbes"), (1e308, "herding")],
+        [(1e200, "pbes"), (1e200, "herding"), (1e308, "pbes"), (1e308, "herding"),
+         (1e308, "randp")],
     )
     def test_overflowing_rows_are_numerical_error(self, tmp_path, capsys, value, method):
-        # Signs chosen so that column 0 sums past float64 at 1e308.
-        signs = [[1, 1], [1, -1], [1, 1], [-1, -1], [-1, 1]]
+        # Column 0 sums past float64 at 1e308. Row 1 has the signs of randp's
+        # first direction at seed 2, so its projection reaches 2.2e308.
+        signs = [
+            [-1, -1, -1, -1, -1, -1, -1, -1],
+            [-1, 1, 1, 1, -1, -1, 1, -1],
+            [1, -1, 1, -1, -1, -1, 1, -1],
+            [1, 0.5, -0.5, 1, 0.5, -1, 0.5, 1],
+            [0.5, 1, 0.5, -0.5, 1, 0.5, -1, -0.5],
+            [-0.5, -0.5, 1, 0.5, -0.5, 1, -0.5, 1],
+            [1, 1, -1, -1, 0.5, 0.5, -0.5, -0.5],
+        ]
         path = tmp_path / "huge.csv"
-        write_dataset_csv(path, LabeledDataset(value * np.array(signs, float), [0] * 5))
+        write_dataset_csv(path, LabeledDataset(value * np.array(signs), [0] * 7))
         out = tmp_path / "sel"
         assert run_cli("sample", "--input", path, "--method", method, "--m", 2,
-                       "--out", out) == 4
+                       "--seed", 2, "--out", out) == 4
         assert "overflow" in capsys.readouterr().err
         assert not out.exists()
 
