@@ -23,18 +23,11 @@ import numpy as np
 
 from .augmentation import AugmentParams, augment_class_records, balance_plan
 from .errors import ValidationError
-from .memory import RehearsalMemory, quotas_for, rebalance_memory
+from .memory import RehearsalMemory, rebalance_memory
 from .metrics import MetricsRow, evaluate, format_metrics_rows
-from .model import (
-    LossConfig,
-    SoftmaxModel,
-    TrainingBatch,
-    make_teacher,
-    one_hot,
-    train_task,
-)
+from .model import LossConfig, SoftmaxModel, TrainingBatch, train_task
 from .numerics import RngState
-from .sampling import SAMPLER_NAMES, ExemplarSelection, sample
+from .sampling import SAMPLER_NAMES, sample
 from .stream import SyntheticStreamSpec, TaskStream, generate_synthetic_stream, read_stream
 
 EXPERIMENT_MODES = ("finetune", "method", "upperbound")
@@ -114,36 +107,12 @@ def _augment_task(train, class_ids, settings: AugmentSettings, rng: RngState):
     return np.vstack(extra_points), np.asarray(extra_labels, dtype=np.int64)
 
 
-def _select_exemplars(
-    train,
-    class_ids,
-    config: ExperimentConfig,
-    task_index: int,
-    quota_by_class: dict[int, int],
-) -> dict[int, tuple[ExemplarSelection, np.ndarray]]:
-    """Ordered selections from the original (never augmented) new-class data."""
-    selections = {}
-    for cid in sorted(int(c) for c in class_ids):
-        rows = train.rows_for(cid)
-        m = min(quota_by_class[cid], rows.shape[0])
-        if m == 0:
-            selections[cid] = (ExemplarSelection(config.sampler, (), None), rows)
-            continue
-        rng = RngState(config.seed).derive("sampler", task_index, cid)
-        selections[cid] = (
-            sample(config.sampler, rows, m, rng=rng, pool_size=config.randp_pool),
-            rows,
-        )
-    return selections
-
-
 def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
     """Execute the full train/select/rebalance/evaluate loop over the stream."""
     stream = load_stream(config)
     dims = stream.dims
     model = SoftmaxModel.empty(dims)
-    memory = RehearsalMemory(budget=config.memory_budget)
-    teacher = None
+    memory = RehearsalMemory()
     rows: list[MetricsRow] = []
     accuracies: list[float] = []
     all_train_points: list[np.ndarray] = []
@@ -184,7 +153,8 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
                 train_points.append(stored[0])
                 train_labels.append(stored[1])
                 exemplar_rows = stored[0].shape[0]
-            effective_teacher = teacher
+            # Models are never mutated, so the previous model is the teacher.
+            effective_teacher = model
             loss_config = config.loss
 
         X = np.vstack(train_points)
@@ -194,20 +164,27 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
             mask[X.shape[0] - exemplar_rows :] = True
         batch = TrainingBatch(
             inputs=X,
-            labels=one_hot(y, current_ids),
+            labels=y,
             class_ids=current_ids,
             exemplar_mask=mask if exemplar_rows else None,
         )
         model = train_task(model, effective_teacher, batch, loss_config)
 
         if config.mode == "method" and config.memory_budget > 0:
-            arrival_after = memory.class_ids() + list(sorted(new_ids))
-            quotas = quotas_for(config.memory_budget, len(arrival_after))
-            quota_by_class = dict(zip(arrival_after, quotas))
-            selections = _select_exemplars(
-                task.train, new_ids, config, task_index, quota_by_class
+
+            def select(cid, rows, m):
+                rng = RngState(config.seed).derive("sampler", task_index, cid)
+                return sample(
+                    config.sampler, rows, m, rng=rng, pool_size=config.randp_pool
+                )
+
+            # Exemplars come from the original (never augmented) new-class rows.
+            memory = rebalance_memory(
+                memory,
+                {cid: task.train.rows_for(cid) for cid in new_ids},
+                config.memory_budget,
+                select,
             )
-            memory = rebalance_memory(memory, selections, config.memory_budget)
 
         all_test_points.append(task.test.points)
         all_test_labels.append(task.test.labels)
@@ -229,7 +206,6 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
                 wall_ms=(time.perf_counter() - started) * 1000.0,
             )
         )
-        teacher = make_teacher(model)
     return rows
 
 

@@ -2,11 +2,14 @@
 
 Every sampler emits a ranked selection, so shrinking a class's allowance is
 always prefix-truncation of its ordered list. Quotas split the total budget
-evenly; the remainder goes, one each, to the earliest-arrived classes.
+evenly; the remainder goes, one each, to the earliest-arrived classes. The
+quota policy lives here alone: callers hand over each new class's rows and a
+selector, and :func:`rebalance_memory` decides how many rows to ask for.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +23,6 @@ class StoredClass:
     """One class's exemplars: an ordered prefix of its original selection."""
 
     class_id: int
-    method: str
     ordered_indices: tuple[int, ...]
     points: np.ndarray  # (stored, d), rows follow ordered_indices
 
@@ -29,7 +31,6 @@ class StoredClass:
 class RehearsalMemory:
     """Exemplar store; ``classes`` is kept in class arrival order."""
 
-    budget: int
     classes: list[StoredClass] = field(default_factory=list)
 
     def total_stored(self) -> int:
@@ -70,45 +71,40 @@ def quotas_for(budget: int, arrival_count: int) -> list[int]:
 
 def rebalance_memory(
     memory: RehearsalMemory,
-    new_selections: dict[int, tuple[ExemplarSelection, np.ndarray]],
+    new_classes: dict[int, np.ndarray],
     budget: int,
+    select: Callable[[int, np.ndarray, int], ExemplarSelection],
 ) -> RehearsalMemory:
     """Insert new classes and re-truncate every class list to its quota.
 
-    ``new_selections`` maps each new class id to its ordered selection and
-    the class's full (original) data matrix; the stored rows are the
-    first-quota prefix of the selection. Existing classes keep the head of
-    their current list. Returns a new memory; the input is not mutated.
+    ``new_classes`` maps each new class id to its full (original) data
+    matrix. New classes arrive after the stored ones, in ascending id order.
+    Each new class stores ``select(class_id, rows, m)``'s ordered picks,
+    with ``m`` the smaller of its quota and its row count; a class whose
+    ``m`` is 0 stores nothing and ``select`` is not called for it. Existing
+    classes keep the head of their current list. Returns a new memory; the
+    input is not mutated.
     """
-    existing = {sc.class_id for sc in memory.classes}
-    for cid in new_selections:
+    existing = set(memory.class_ids())
+    for cid in new_classes:
         if cid in existing:
             raise ValidationError(f"class {cid} is already stored in memory")
-    arrival: list[StoredClass] = list(memory.classes)
-    for cid in sorted(new_selections):
-        selection, points = new_selections[cid]
-        points = np.asarray(points, dtype=np.float64)
-        arrival.append(
-            StoredClass(
-                class_id=int(cid),
-                method=selection.method,
-                ordered_indices=tuple(selection.ordered_indices),
-                points=points[list(selection.ordered_indices)]
-                if len(selection.ordered_indices)
-                else points[:0],
-            )
-        )
-    quotas = quotas_for(budget, len(arrival))
-    rebalanced = [
+    new_ids = sorted(new_classes)
+    quotas = quotas_for(budget, len(memory.classes) + len(new_ids))
+    classes = [
         StoredClass(
             class_id=sc.class_id,
-            method=sc.method,
             ordered_indices=sc.ordered_indices[:quota],
             points=sc.points[:quota].copy(),
         )
-        for sc, quota in zip(arrival, quotas)
+        for sc, quota in zip(memory.classes, quotas)
     ]
-    out = RehearsalMemory(budget=budget, classes=rebalanced)
+    for cid, quota in zip(new_ids, quotas[len(memory.classes) :]):
+        rows = np.asarray(new_classes[cid], dtype=np.float64)
+        m = min(quota, rows.shape[0])
+        picks = tuple(select(cid, rows, m).ordered_indices) if m else ()
+        classes.append(StoredClass(int(cid), picks, rows[list(picks)]))
+    out = RehearsalMemory(classes)
     if out.total_stored() > budget:
         raise ValidationError(
             f"memory holds {out.total_stored()} exemplars over its budget of {budget}"

@@ -58,15 +58,6 @@ class SoftmaxModel:
         )
 
 
-def make_teacher(model: SoftmaxModel) -> SoftmaxModel:
-    """Deep-copied snapshot of a model, safe against later mutation."""
-    return SoftmaxModel(
-        weights=model.weights.copy(),
-        bias=model.bias.copy(),
-        class_ids=tuple(model.class_ids),
-    )
-
-
 @dataclass(frozen=True)
 class LossConfig:
     """Hyperparameters of the combined objective and its gradient descent.
@@ -104,30 +95,32 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class TrainingBatch:
-    """Inputs with one-hot labels over an ordered class id list.
+    """Inputs with integer labels over an ordered list of distinct class ids.
 
-    ``exemplar_mask`` marks rows replayed from memory (used by the
-    "exemplars_only" distillation scope); None means no rows are marked.
+    Each label is one of ``class_ids``; its position there is the label's
+    logit column. ``exemplar_mask`` marks rows replayed from memory (used by
+    the "exemplars_only" distillation scope); None means no rows are marked.
     """
 
     inputs: np.ndarray  # (n, features)
-    labels: np.ndarray  # (n, classes) one-hot
+    labels: np.ndarray  # (n,) class ids
     class_ids: tuple[int, ...]
     exemplar_mask: np.ndarray | None = None
 
     def __post_init__(self):
         X = self.inputs
-        Y = self.labels
-        if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
+        y = self.labels
+        if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
             raise ValidationError(
-                f"inputs {X.shape} and labels {Y.shape} do not align"
+                f"inputs {X.shape} and labels {y.shape} do not align"
             )
-        if Y.shape[1] != len(self.class_ids):
+        if len(set(self.class_ids)) != len(self.class_ids):
+            raise ValidationError(f"class ids {self.class_ids} are not distinct")
+        stray = np.setdiff1d(y, self.class_ids)
+        if stray.size:
             raise ValidationError(
-                f"label width {Y.shape[1]} != {len(self.class_ids)} class ids"
+                f"labels {stray.tolist()} not among class ids {self.class_ids}"
             )
-        if not np.isin(Y, (0.0, 1.0)).all() or not (Y.sum(axis=1) == 1.0).all():
-            raise ValidationError("labels must be one-hot rows")
         if self.exemplar_mask is not None and self.exemplar_mask.shape != (
             X.shape[0],
         ):
@@ -137,16 +130,9 @@ class TrainingBatch:
         return self.inputs.shape[0]
 
 
-def one_hot(labels, class_ids: tuple[int, ...]) -> np.ndarray:
-    """Encode integer labels as one-hot rows over the given class id order."""
-    index = {cid: i for i, cid in enumerate(class_ids)}
-    out = np.zeros((len(labels), len(class_ids)))
-    for row, lab in enumerate(labels):
-        key = int(lab)
-        if key not in index:
-            raise ValidationError(f"label {key} not among class ids {class_ids}")
-        out[row, index[key]] = 1.0
-    return out
+def _label_matrix(batch: TrainingBatch) -> np.ndarray:
+    """0/1 rows over ``batch.class_ids``: the targets :func:`_gradient` reads."""
+    return (batch.labels[:, None] == np.asarray(batch.class_ids)).astype(np.float64)
 
 
 def softmax_with_temperature(logits, temperature: float = 1.0) -> np.ndarray:
@@ -231,7 +217,8 @@ def loss_gradient(
         _check_teacher(model, teacher)
         rows = _distill_rows(batch, config)
         q = _soft_targets(teacher, X, rows, config.temperature)
-    return _gradient(X, batch.labels, model.weights, model.bias, rows, q, config)
+    Y = _label_matrix(batch)
+    return _gradient(X, Y, model.weights, model.bias, rows, q, config)
 
 
 def _extend_for_new_classes(
@@ -264,16 +251,18 @@ def train_task(
     leaves old-class logits untouched at the task boundary. Mini-batches (if
     any) run in fixed slice order, so the whole procedure is deterministic.
 
-    Inputs are validated once: ``data`` was checked when it was built (its
-    slices stay one-hot), and the teacher is checked and its softened targets
-    computed per slice before the first step, since the frozen teacher never
-    changes within a task. Each step then runs :func:`_gradient` on raw
-    arrays; only the finiteness of the updated parameters is checked per step.
+    Inputs are validated once: ``data`` was checked when it was built, its
+    0/1 label matrix is built once, and the teacher is checked and its
+    softened targets computed per slice before the first step, since the
+    frozen teacher never changes within a task. Each step then runs
+    :func:`_gradient` on raw arrays; only the finiteness of the updated
+    parameters is checked per step.
     """
     model = _extend_for_new_classes(model, data.class_ids)
     if config.epochs == 0:
         return model
     X = np.asarray(data.inputs, dtype=np.float64)
+    Y = _label_matrix(data)
     n = X.shape[0]
     if config.batch_size == 0 or config.batch_size >= n:
         slices = [slice(0, n)]
@@ -286,7 +275,7 @@ def train_task(
     b = model.bias.copy()
     with np.errstate(over="ignore", invalid="ignore"):
         if teacher is None or teacher.num_classes == 0:
-            steps = [(X[sl], data.labels[sl], None, None) for sl in slices]
+            steps = [(X[sl], Y[sl], None, None) for sl in slices]
         else:
             _check_teacher(model, teacher)
             rows = _distill_rows(data, config)
@@ -295,7 +284,7 @@ def train_task(
                 q = _soft_targets(teacher, X[sl], rows[sl], config.temperature)
                 # Selecting every row by a slice spares the copies a mask costs.
                 selected = slice(None) if rows[sl].all() else rows[sl]
-                steps.append((X[sl], data.labels[sl], selected, q))
+                steps.append((X[sl], Y[sl], selected, q))
         for _ in range(config.epochs):
             for X_s, Y_s, rows_s, q_s in steps:
                 grad_w, grad_b = _gradient(X_s, Y_s, W, b, rows_s, q_s, config)

@@ -58,7 +58,11 @@ class Task:
 
 @dataclass
 class TaskStream:
-    """Ordered tasks over pairwise-disjoint class sets of constant size."""
+    """Ordered tasks over pairwise-disjoint class sets of constant size.
+
+    Every class a task lists appears once in that task and has at least one
+    training row.
+    """
 
     tasks: list[Task] = field(default_factory=list)
 
@@ -69,6 +73,11 @@ class TaskStream:
             raise ValidationError(f"per-task class counts differ: {sorted(sizes)}")
         for i, task in enumerate(self.tasks):
             ids = set(task.class_ids)
+            if len(ids) < len(task.class_ids):
+                repeated = sorted(c for c in ids if task.class_ids.count(c) > 1)
+                raise ValidationError(
+                    f"task {i + 1} lists classes {repeated} more than once"
+                )
             if ids & seen:
                 raise ValidationError(
                     f"task {i + 1} reuses classes {sorted(ids & seen)}"
@@ -80,12 +89,18 @@ class TaskStream:
                         f"task {i + 1} {split.split} split has {split.points.shape[1]} "
                         f"features, task 1 has {self.dims}"
                     )
-                stray = set(np.unique(split.labels)) - ids
+                stray = set(np.unique(split.labels).tolist()) - ids
                 if stray:
                     raise ValidationError(
                         f"task {i + 1} {split.split} split has labels {sorted(stray)} "
                         f"outside its classes"
                     )
+            untrained = ids - set(np.unique(task.train.labels).tolist())
+            if untrained:
+                raise ValidationError(
+                    f"task {i + 1} train split has no rows of classes "
+                    f"{sorted(untrained)}"
+                )
 
     def __len__(self) -> int:
         return len(self.tasks)

@@ -283,6 +283,14 @@ def greedy_herding(X, m):
     return chosen
 
 
+def label_rows(batch: TrainingBatch) -> np.ndarray:
+    """One 0/1 row per label, with the 1 at the label's place in class_ids."""
+    rows = np.zeros((len(batch.labels), len(batch.class_ids)))
+    for row, label in enumerate(batch.labels):
+        rows[row, batch.class_ids.index(int(label))] = 1.0
+    return rows
+
+
 def cross_entropy_loss(
     batch: TrainingBatch, model: SoftmaxModel, temperature: float = 1.0
 ) -> float:
@@ -292,7 +300,7 @@ def cross_entropy_loss(
             f"label width {len(batch.class_ids)} != model classes {model.num_classes}"
         )
     probs = softmax_with_temperature(model.logits(batch.inputs), temperature)
-    return float(-(batch.labels * np.log(np.maximum(probs, _PROB_FLOOR))).sum())
+    return float(-(label_rows(batch) * np.log(np.maximum(probs, _PROB_FLOOR))).sum())
 
 
 def distillation_loss(student_logits_old, teacher_logits, temperature: float) -> float:
@@ -376,7 +384,8 @@ def train_task_reference(model, teacher, data, config):
     """Gradient descent with every step rebuilt and re-validated from scratch.
 
     Each step builds a fresh SoftmaxModel and TrainingBatch for its slice and
-    calls the public loss_gradient, which recomputes the teacher's logits.
+    calls the public loss_gradient, which re-encodes the slice's labels and
+    recomputes the teacher's logits.
     """
     model = _extend_for_new_classes(model, data.class_ids)
     if config.epochs == 0:

@@ -21,7 +21,6 @@ from pbes.model import (
     SoftmaxModel,
     TrainingBatch,
     loss_gradient,
-    one_hot,
     softmax_with_temperature,
 )
 from pbes.numerics import RngState, covariance, principal_directions, sign_normalize
@@ -117,7 +116,7 @@ def test_criterion_04_gradient_check():
         k_old = int(gen.integers(1, k))
         ids = tuple(range(k))
         batch = TrainingBatch(
-            gen.normal(size=(n, d)), one_hot(gen.integers(0, k, size=n), ids), ids
+            gen.normal(size=(n, d)), gen.integers(0, k, size=n), ids
         )
         model = SoftmaxModel(gen.normal(size=(k, d)), gen.normal(size=k), ids)
         teacher = SoftmaxModel(

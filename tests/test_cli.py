@@ -524,6 +524,51 @@ class TestInputFiles:
         assert run_cli("run", "--config", config, "--out", tmp_path / "m.csv") == 2
         assert "task 2 test split has 2 features" in capsys.readouterr().err
 
+    def test_class_listed_twice_is_validation_error(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        gen = np.random.default_rng(2)
+        manifest = {"tasks": []}
+        for task, classes in enumerate(([0, 0], [1, 2]), start=1):
+            for split in ("train", "test"):
+                labels = sorted(set(classes)) * 4
+                rows = LabeledDataset(gen.normal(size=(len(labels), 3)), labels, split)
+                write_dataset_csv(data / f"{task}_{split}.csv", rows)
+            names = {split: f"{task}_{split}.csv" for split in ("train", "test")}
+            manifest["tasks"].append({"classes": classes, **names})
+        (data / "stream.json").write_text(json.dumps(manifest))
+        config = minimal_config(
+            tmp_path, memory_budget=6, stream={"files": {"manifest": "data/stream.json"}}
+        )
+        assert run_cli("run", "--config", config, "--out", tmp_path / "m.csv") == 2
+        assert "task 1 lists classes [0] more than once" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("augment", [False, True])
+    def test_class_without_train_rows_is_validation_error(
+        self, tmp_path, capsys, augment
+    ):
+        config, manifest = file_stream_config(tmp_path)
+        csv = manifest.parent / "task_002_train.csv"
+        lines = csv.read_text().splitlines()
+        csv.write_text("\n".join(ln for ln in lines if not ln.startswith("3,")) + "\n")
+        doc = json.loads(config.read_text())
+        doc["augmentation"] = {"enabled": augment}
+        config.write_text(json.dumps(doc))
+        assert run_cli("run", "--config", config, "--out", tmp_path / "m.csv") == 2
+        assert "task 2 train split has no rows of classes [3]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("augment", [False, True])
+    def test_synthetic_class_without_train_rows_is_validation_error(
+        self, tmp_path, capsys, augment
+    ):
+        spec = {"classes": 2, "tasks": 1, "class_size": 2, "test_fraction": 0.9}
+        config = minimal_config(
+            tmp_path, stream={"synthetic": spec}, augmentation={"enabled": augment}
+        )
+        assert run_cli("run", "--config", config, "--out", tmp_path / "m.csv") == 2
+        err = capsys.readouterr().err
+        assert "task 1 train split has no rows of classes [0, 1]" in err
+
     def test_non_utf8_config_is_io_error(self, tmp_path):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"seed": "\xe9"}')

@@ -189,6 +189,81 @@ class TestModeSemantics:
         assert wins >= 7
 
 
+# (class id, stored train-row indices) per class after each task of the
+# MEMORY_SPEC runs below. Selection, quota split and prefix truncation all
+# show here: budget 20 caps classes 0, 1 and 5 by their row counts, and
+# budget 4 gives the last two classes a quota of 0.
+MEMORY_SPEC = SyntheticStreamSpec(
+    classes=6, tasks=3, class_size=10, imbalance_ratio=3.0, dims=3
+)
+PINNED_MEMORY = {
+    ("pbes", 20): [
+        ((0, (7, 1, 2, 6, 5, 0, 4, 3)), (1, (2, 0, 4, 5, 1, 3, 6))),
+        ((0, (7, 1, 2, 6, 5)), (1, (2, 0, 4, 5, 1)), (2, (1, 0, 4, 3, 2)),
+         (3, (2, 4, 1, 0, 3))),
+        ((0, (7, 1, 2, 6)), (1, (2, 0, 4, 5)), (2, (1, 0, 4)), (3, (2, 4, 1)),
+         (4, (2, 1, 3)), (5, (0, 1))),
+    ],
+    ("randp", 20): [
+        ((0, (6, 7, 2, 0, 1, 5, 4, 3)), (1, (2, 3, 5, 4, 0, 1, 6))),
+        ((0, (6, 7, 2, 0, 1)), (1, (2, 3, 5, 4, 0)), (2, (2, 0, 1, 4, 5)),
+         (3, (4, 2, 3, 1, 0))),
+        ((0, (6, 7, 2, 0)), (1, (2, 3, 5, 4)), (2, (2, 0, 1)), (3, (4, 2, 3)),
+         (4, (3, 2, 0)), (5, (0, 1))),
+    ],
+    ("herding", 20): [
+        ((0, (7, 6, 0, 2, 5, 1, 3, 4)), (1, (2, 1, 6, 5, 3, 0, 4))),
+        ((0, (7, 6, 0, 2, 5)), (1, (2, 1, 6, 5, 3)), (2, (1, 0, 2, 4, 5)),
+         (3, (4, 3, 2, 0, 1))),
+        ((0, (7, 6, 0, 2)), (1, (2, 1, 6, 5)), (2, (1, 0, 2)), (3, (4, 3, 2)),
+         (4, (2, 3, 0)), (5, (0, 1))),
+    ],
+    ("random", 20): [
+        ((0, (4, 7, 0, 6, 3, 2, 5, 1)), (1, (3, 1, 0, 4, 6, 2, 5))),
+        ((0, (4, 7, 0, 6, 3)), (1, (3, 1, 0, 4, 6)), (2, (1, 2, 3, 0, 4)),
+         (3, (2, 1, 3, 0, 4))),
+        ((0, (4, 7, 0, 6)), (1, (3, 1, 0, 4)), (2, (1, 2, 3)), (3, (2, 1, 3)),
+         (4, (1, 3, 0)), (5, (1, 0))),
+    ],
+    ("pbes", 4): [
+        ((0, (7, 1)), (1, (2, 0))),
+        ((0, (7,)), (1, (2,)), (2, (1,)), (3, (2,))),
+        ((0, (7,)), (1, (2,)), (2, (1,)), (3, (2,)), (4, ()), (5, ())),
+    ],
+}
+
+
+@pytest.mark.parametrize("sampler, budget", sorted(PINNED_MEMORY))
+def test_memory_contents_pinned(monkeypatch, sampler, budget):
+    import pbes.harness as harness
+
+    real_rebalance = harness.rebalance_memory
+    contents = []
+
+    def capture_rebalance(*args):
+        memory = real_rebalance(*args)
+        contents.append(memory)
+        return memory
+
+    monkeypatch.setattr(harness, "rebalance_memory", capture_rebalance)
+    config = tiny_config(
+        seed=5, stream=MEMORY_SPEC, sampler=sampler, memory_budget=budget,
+        loss=fast_loss(epochs=1),
+    )
+    run_experiment(config)
+    assert [
+        tuple((sc.class_id, sc.ordered_indices) for sc in memory.classes)
+        for memory in contents
+    ] == PINNED_MEMORY[sampler, budget]
+    train = {
+        cid: task.train.rows_for(cid)
+        for task in generate_synthetic_stream(MEMORY_SPEC, 5).tasks
+        for cid in task.class_ids
+    }
+    for sc in contents[-1].classes:
+        assert np.array_equal(sc.points, train[sc.class_id][list(sc.ordered_indices)])
+
+
 class TestSweep:
     def test_blocks_and_ordering(self):
         results = sweep_budgets(tiny_config(), [16, 8])

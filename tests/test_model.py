@@ -12,8 +12,6 @@ from pbes.model import (
     SoftmaxModel,
     TrainingBatch,
     loss_gradient,
-    make_teacher,
-    one_hot,
     predict,
     softmax_with_temperature,
     train_task,
@@ -37,7 +35,7 @@ def random_instance(gen, n_classes=None, n_old=None, n=None, d=None):
     X = gen.normal(size=(n, d))
     labels = gen.integers(0, k, size=n)
     ids = tuple(range(k))
-    batch = TrainingBatch(X, one_hot(labels, ids), ids)
+    batch = TrainingBatch(X, labels, ids)
     model = SoftmaxModel(gen.normal(size=(k, d)), gen.normal(size=k), ids)
     teacher = SoftmaxModel(gen.normal(size=(k_old, d)), gen.normal(size=k_old), ids[:k_old])
     return batch, model, teacher
@@ -97,13 +95,13 @@ class TestCrossEntropy:
     def test_confident_correct_prediction(self):
         ids = (0, 1)
         model = SoftmaxModel(np.array([[50.0], [-50.0]]), np.zeros(2), ids)
-        batch = TrainingBatch(np.array([[1.0]]), one_hot([0], ids), ids)
+        batch = TrainingBatch(np.array([[1.0]]), np.array([0]), ids)
         assert cross_entropy_loss(batch, model) < 1e-12
 
     def test_uniform_two_classes_is_ln2(self):
         ids = (0, 1)
         model = SoftmaxModel(np.zeros((2, 1)), np.zeros(2), ids)
-        batch = TrainingBatch(np.array([[1.0]]), one_hot([0], ids), ids)
+        batch = TrainingBatch(np.array([[1.0]]), np.array([0]), ids)
         assert abs(cross_entropy_loss(batch, model) - math.log(2.0)) < 1e-12
 
     def test_sum_over_batch(self):
@@ -111,8 +109,8 @@ class TestCrossEntropy:
         gen = np.random.default_rng(0)
         model = SoftmaxModel(gen.normal(size=(2, 3)), gen.normal(size=2), ids)
         x = gen.normal(size=(1, 3))
-        single = TrainingBatch(x, one_hot([1], ids), ids)
-        double = TrainingBatch(np.vstack([x, x]), one_hot([1, 1], ids), ids)
+        single = TrainingBatch(x, np.array([1]), ids)
+        double = TrainingBatch(np.vstack([x, x]), np.array([1, 1]), ids)
         assert abs(
             cross_entropy_loss(double, model) - 2.0 * cross_entropy_loss(single, model)
         ) < 1e-12
@@ -120,7 +118,7 @@ class TestCrossEntropy:
     def test_width_mismatch(self):
         ids = (0, 1, 2)
         model = SoftmaxModel(np.zeros((2, 1)), np.zeros(2), (0, 1))
-        batch = TrainingBatch(np.ones((1, 1)), one_hot([0], ids), ids)
+        batch = TrainingBatch(np.ones((1, 1)), np.array([0]), ids)
         with pytest.raises(ValidationError):
             cross_entropy_loss(batch, model)
 
@@ -161,8 +159,8 @@ class TestCombinedLoss:
     def test_beta_one_matching_logits_gives_teacher_entropy(self):
         ids = (0, 1)
         model = SoftmaxModel(np.zeros((2, 1)), np.array([1.0, 1.0]), ids)
-        teacher = make_teacher(model)
-        batch = TrainingBatch(np.array([[0.5]]), one_hot([0], ids), ids)
+        teacher = model
+        batch = TrainingBatch(np.array([[0.5]]), np.array([0]), ids)
         config = LossConfig(beta=1.0, temperature=2.0)
         assert abs(combined_loss(batch, model, teacher, config) - math.log(2.0)) < 1e-10
 
@@ -181,7 +179,7 @@ class TestCombinedLoss:
         teacher = SoftmaxModel(gen.normal(size=(1, 2)), gen.normal(size=1), (0,))
         X = gen.normal(size=(3, 2))
         mask = np.array([False, True, False])
-        batch = TrainingBatch(X, one_hot([0, 1, 0], ids), ids, exemplar_mask=mask)
+        batch = TrainingBatch(X, np.array([0, 1, 0]), ids, exemplar_mask=mask)
         scoped = combined_loss(
             batch, model, teacher, LossConfig(beta=1.0, distill_scope="exemplars_only")
         )
@@ -242,7 +240,7 @@ class TestLossGradient:
     def test_near_minimum_gradient_vanishes(self):
         ids = (0, 1)
         model = SoftmaxModel(np.array([[40.0], [-40.0]]), np.zeros(2), ids)
-        batch = TrainingBatch(np.array([[1.0]]), one_hot([0], ids), ids)
+        batch = TrainingBatch(np.array([[1.0]]), np.array([0]), ids)
         gW, gb = loss_gradient(batch, model, None, LossConfig(beta=0.0))
         assert np.linalg.norm(gW) < 1e-6
         assert np.linalg.norm(gb) < 1e-6
@@ -263,7 +261,7 @@ class TestTrainTask:
         X = np.vstack([a, b])
         labels = [0] * 10 + [1] * 10
         ids = (0, 1)
-        batch = TrainingBatch(X, one_hot(labels, ids), ids)
+        batch = TrainingBatch(X, np.array(labels), ids)
         model = train_task(
             SoftmaxModel.empty(2), None, batch,
             LossConfig(learning_rate=0.1, epochs=200),
@@ -275,7 +273,7 @@ class TestTrainTask:
         X = gen.normal(size=(6, 2))
         labels = gen.integers(0, 2, size=6)
         ids = (0, 1)
-        batch = TrainingBatch(X, one_hot(labels, ids), ids)
+        batch = TrainingBatch(X, labels, ids)
         config = LossConfig(learning_rate=0.01, epochs=1, beta=0.0)
         model = SoftmaxModel(np.zeros((2, 2)), np.zeros(2), ids)
         losses = [cross_entropy_loss(batch, model)]
@@ -298,7 +296,7 @@ class TestTrainTask:
         old = SoftmaxModel(gen.normal(size=(2, 3)), gen.normal(size=2), (0, 1))
         X = gen.normal(size=(4, 3))
         ids = (0, 1, 2, 3)
-        batch = TrainingBatch(X, one_hot([0, 1, 2, 3], ids), ids)
+        batch = TrainingBatch(X, np.array([0, 1, 2, 3]), ids)
         out = train_task(old, None, batch, LossConfig(epochs=0))
         assert out.class_ids == ids
         assert np.array_equal(out.weights[:2], old.weights)
@@ -307,14 +305,14 @@ class TestTrainTask:
 
     def test_wrong_class_order_rejected(self):
         old = SoftmaxModel(np.ones((2, 1)), np.zeros(2), (0, 1))
-        batch = TrainingBatch(np.ones((1, 1)), one_hot([1], (1, 0)), (1, 0))
+        batch = TrainingBatch(np.ones((1, 1)), np.array([1]), (1, 0))
         with pytest.raises(ValidationError):
             train_task(old, None, batch, LossConfig())
 
     def test_overflow_raises_numerical_error(self):
         X = np.array([[1000.0], [-999.0]])
         ids = (0, 1)
-        batch = TrainingBatch(X, one_hot([0, 1], ids), ids)
+        batch = TrainingBatch(X, np.array([0, 1]), ids)
         with pytest.raises(NumericalError):
             train_task(
                 SoftmaxModel.empty(1), None, batch,
@@ -326,7 +324,7 @@ class TestTrainTask:
         X = gen.normal(size=(7, 2))
         labels = gen.integers(0, 2, size=7)
         ids = (0, 1)
-        batch = TrainingBatch(X, one_hot(labels, ids), ids)
+        batch = TrainingBatch(X, labels, ids)
         config = LossConfig(learning_rate=0.01, epochs=20, batch_size=3)
         a = train_task(SoftmaxModel.empty(2), None, batch, config)
         b = train_task(SoftmaxModel.empty(2), None, batch, config)
@@ -350,7 +348,7 @@ def training_problems(draw):
     mask = draw(st.sampled_from(["none", "all_false", "mixed"]))
     batch = TrainingBatch(
         _on_grid(gen.normal(scale=1.5, size=(n, d))),
-        one_hot(gen.integers(0, len(ids), size=n), ids),
+        gen.integers(0, len(ids), size=n),
         ids,
         exemplar_mask={
             "none": None,
@@ -365,7 +363,7 @@ def training_problems(draw):
     teacher = draw(st.sampled_from(["none", "snapshot", "other"]))
     teacher = {
         "none": None,
-        "snapshot": make_teacher(model),
+        "snapshot": model,
         "other": SoftmaxModel(
             _on_grid(gen.normal(size=(k_old, d))),
             _on_grid(gen.normal(size=k_old)),
@@ -416,7 +414,7 @@ class TestTrainTaskMatchesReference:
         gen = np.random.default_rng(11)
         ids = (0, 1, 2)
         batch = TrainingBatch(
-            _on_grid(gen.normal(size=(9, 3))), one_hot([0, 1, 2] * 3, ids), ids
+            _on_grid(gen.normal(size=(9, 3))), np.array([0, 1, 2] * 3), ids
         )
         teacher = SoftmaxModel(np.ones((2, 3)), np.zeros(2), ids[:2])
         for scope in ("all", "exemplars_only"):
@@ -489,10 +487,38 @@ class TestLossConfigValidation:
 
 
 class TestTrainingBatchValidation:
-    def test_rejects_non_one_hot(self):
-        with pytest.raises(ValidationError):
-            TrainingBatch(np.ones((1, 2)), np.array([[0.5, 0.5]]), (0, 1))
+    def test_rejects_label_outside_class_ids(self):
+        with pytest.raises(ValidationError, match=r"labels \[2\] not among"):
+            TrainingBatch(np.ones((2, 2)), np.array([0, 2]), (0, 1))
+
+    def test_rejects_repeated_class_ids(self):
+        with pytest.raises(ValidationError, match="not distinct"):
+            TrainingBatch(np.ones((1, 2)), np.array([0]), (0, 1, 0))
 
     def test_rejects_row_mismatch(self):
         with pytest.raises(ValidationError):
-            TrainingBatch(np.ones((2, 2)), np.array([[1.0, 0.0]]), (0, 1))
+            TrainingBatch(np.ones((2, 2)), np.array([0]), (0, 1))
+        with pytest.raises(ValidationError):
+            TrainingBatch(np.ones((1, 2)), np.array([[1.0, 0.0]]), (0, 1))
+
+
+class TestLabelEncoding:
+    """train_task and loss_gradient read labels by position in class_ids."""
+
+    def test_unsorted_class_ids(self):
+        gen = np.random.default_rng(12)
+        X = gen.normal(size=(5, 2))
+        labels = np.array([7, 3, 3, 9, 7])
+        permuted = TrainingBatch(X, labels, (9, 3, 7))
+        renamed = TrainingBatch(X, np.array([2, 1, 1, 0, 2]), (0, 1, 2))
+        model = SoftmaxModel(gen.normal(size=(3, 2)), gen.normal(size=3), (9, 3, 7))
+        same = SoftmaxModel(model.weights, model.bias, (0, 1, 2))
+        config = LossConfig(beta=0.0, epochs=3, learning_rate=0.1)
+        for a, b in zip(
+            loss_gradient(permuted, model, None, config),
+            loss_gradient(renamed, same, None, config),
+        ):
+            assert np.array_equal(a, b)
+        trained = train_task(model, None, permuted, config)
+        reference = train_task(same, None, renamed, config)
+        assert np.array_equal(trained.weights, reference.weights)

@@ -117,6 +117,17 @@ class TestTaskStreamInvariants:
         with pytest.raises(ValidationError):
             TaskStream([Task((0,), d1, d1), Task((1, 2), d2, d2)])
 
+    def test_class_listed_twice_rejected(self):
+        data = LabeledDataset(np.ones((2, 2)), [0, 0])
+        with pytest.raises(ValidationError, match=r"task 1 lists classes \[0\] more"):
+            TaskStream([Task((0, 0), data, data)])
+
+    def test_class_without_train_rows_rejected(self):
+        train = LabeledDataset(np.ones((2, 2)), [0, 0])
+        test = LabeledDataset(np.ones((2, 2)), [0, 1])
+        with pytest.raises(ValidationError, match=r"no rows of classes \[1\]"):
+            TaskStream([Task((0, 1), train, test)])
+
     def test_labels_must_match_classes(self):
         good = LabeledDataset(np.ones((1, 2)), [0])
         bad = LabeledDataset(np.ones((1, 2)), [5])
