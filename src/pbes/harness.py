@@ -1,12 +1,15 @@
 """Class-incremental experiment engine.
 
-One experiment walks a task stream in order. In "method" mode each task
-trains on the new data (optionally balanced by selective-cut augmentation)
-plus the replayed memory contents, with the previous-task model as a frozen
-distillation teacher; exemplars are then selected from the original new-class
-data and the memory is rebalanced. "finetune" ignores memory and distillation
-entirely (the usual lower bound) and "upperbound" retrains on everything seen
-so far with cross-entropy only.
+One experiment walks a task stream in order, and all three modes share one
+loop. Each task trains on a list of (points, labels) blocks and is scored
+on the test splits of every task seen so far. In "upperbound" the blocks are
+the train splits of every task seen so far, with no teacher (the usual upper
+bound). Otherwise they are the new task's train split, its selective-cut
+augmentation when enabled, and the replayed memory contents, last. "method"
+distils from the previous-task model as a frozen teacher, then selects
+exemplars from the original new-class data and rebalances the memory.
+"finetune" has no teacher and its memory stays empty (the usual lower
+bound).
 
 Everything derives from the master seed through purpose-keyed child states,
 so a run is reproducible byte-for-byte and independent runs can share a
@@ -70,7 +73,9 @@ class ExperimentConfig:
         if self.classifier not in ("argmax", "ncm"):
             raise ValidationError(f"unknown classifier mode {self.classifier!r}")
         if self.memory_budget < 0:
-            raise ValidationError("memory budget must be >= 0")
+            raise ValidationError(
+                f"memory budget must be >= 0, got {self.memory_budget}"
+            )
         if self.mode == "finetune" and self.memory_budget != 0:
             raise ValidationError("finetune mode requires a zero memory budget")
         if self.classifier == "ncm" and (
@@ -90,85 +95,52 @@ def load_stream(config: ExperimentConfig) -> TaskStream:
 def _augment_task(train, class_ids, settings: AugmentSettings, rng: RngState):
     """Balance a task's class sizes by cutting vectors viewed as 1 x 1 x d images."""
     sizes = {int(cid): int(np.sum(train.labels == cid)) for cid in class_ids}
-    plan = balance_plan(sizes)
-    extra_points, extra_labels = [], []
-    for cid, count in sorted(plan.items()):
-        if count == 0:
-            continue
-        rows = train.rows_for(cid)
-        images = [row.reshape(1, 1, -1) for row in rows]
+    points = [np.zeros((0, train.points.shape[1]))]
+    labels = [np.zeros(0, dtype=np.int64)]
+    for cid, count in sorted(balance_plan(sizes).items()):
+        images = [row.reshape(1, 1, -1) for row in train.rows_for(cid)]
         records = augment_class_records(
             images, count, rng.derive("class", cid), params=settings
         )
-        extra_points.extend(rec.image.reshape(-1) for rec in records)
-        extra_labels.extend([cid] * count)
-    if not extra_points:
-        return np.zeros((0, train.points.shape[1])), np.zeros(0, dtype=np.int64)
-    return np.vstack(extra_points), np.asarray(extra_labels, dtype=np.int64)
+        points.extend(rec.image.reshape(-1) for rec in records)
+        labels.append(np.full(count, cid, dtype=np.int64))
+    return np.vstack(points), np.concatenate(labels)
 
 
 def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
     """Execute the full train/select/rebalance/evaluate loop over the stream."""
     stream = load_stream(config)
-    dims = stream.dims
-    model = SoftmaxModel.empty(dims)
+    model = SoftmaxModel.empty(stream.dims)
     memory = RehearsalMemory()
     rows: list[MetricsRow] = []
     accuracies: list[float] = []
-    all_train_points: list[np.ndarray] = []
-    all_train_labels: list[np.ndarray] = []
-    all_test_points: list[np.ndarray] = []
-    all_test_labels: list[np.ndarray] = []
 
     for task_index, task in enumerate(stream.tasks, start=1):
         started = time.perf_counter()
+        seen = stream.tasks[:task_index]
         new_ids = tuple(sorted(int(c) for c in task.class_ids))
-        current_ids = tuple(model.class_ids) + new_ids
 
-        train_points = [task.train.points]
-        train_labels = [task.train.labels]
-        if config.augment.enabled and config.mode != "upperbound":
-            aug_rng = RngState(config.seed).derive("augment", task_index)
-            extra_pts, extra_labs = _augment_task(
-                task.train, new_ids, config.augment, aug_rng
-            )
-            if len(extra_labs):
-                train_points.append(extra_pts)
-                train_labels.append(extra_labs)
-
-        exemplar_rows = 0
         if config.mode == "upperbound":
-            all_train_points.append(task.train.points)
-            all_train_labels.append(task.train.labels)
-            train_points = list(all_train_points)
-            train_labels = list(all_train_labels)
-            effective_teacher = None
-            loss_config = replace(config.loss, beta=0.0)
-        elif config.mode == "finetune":
-            effective_teacher = None
-            loss_config = replace(config.loss, beta=0.0)
+            blocks = [(t.train.points, t.train.labels) for t in seen]
         else:
+            blocks = [(task.train.points, task.train.labels)]
+            if config.augment.enabled:
+                rng = RngState(config.seed).derive("augment", task_index)
+                blocks.append(_augment_task(task.train, new_ids, config.augment, rng))
+            # Replayed rows come last; memory is empty outside method mode.
             stored = memory.stored_points()
             if stored is not None:
-                train_points.append(stored[0])
-                train_labels.append(stored[1])
-                exemplar_rows = stored[0].shape[0]
-            # Models are never mutated, so the previous model is the teacher.
-            effective_teacher = model
-            loss_config = config.loss
-
-        X = np.vstack(train_points)
-        y = np.concatenate(train_labels)
-        mask = np.zeros(X.shape[0], dtype=bool)
-        if exemplar_rows:
-            mask[X.shape[0] - exemplar_rows :] = True
+                blocks.append(stored)
+        labels = np.concatenate([y for _, y in blocks])
         batch = TrainingBatch(
-            inputs=X,
-            labels=y,
-            class_ids=current_ids,
-            exemplar_mask=mask if exemplar_rows else None,
+            inputs=np.vstack([X for X, _ in blocks]),
+            labels=labels,
+            class_ids=tuple(model.class_ids) + new_ids,
+            exemplar_mask=np.arange(len(labels)) >= len(labels) - memory.total_stored(),
         )
-        model = train_task(model, effective_teacher, batch, loss_config)
+        # Models are never mutated, so the previous model is the teacher.
+        teacher = model if config.mode == "method" else None
+        model = train_task(model, teacher, batch, config.loss)
 
         if config.mode == "method" and config.memory_budget > 0:
 
@@ -186,13 +158,11 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
                 select,
             )
 
-        all_test_points.append(task.test.points)
-        all_test_labels.append(task.test.labels)
         accuracy, macro_f1, gmean = evaluate(
             model,
             memory,
-            np.vstack(all_test_points),
-            np.concatenate(all_test_labels),
+            np.vstack([t.test.points for t in seen]),
+            np.concatenate([t.test.labels for t in seen]),
             classifier=config.classifier,
         )
         accuracies.append(accuracy)
@@ -212,18 +182,19 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
 def sweep_budgets(
     config: ExperimentConfig, budgets: list[int]
 ) -> list[tuple[int, list[MetricsRow]]]:
-    """Run the experiment once per memory budget, ascending, deduplicated."""
+    """Run the experiment once per memory budget, ascending, deduplicated.
+
+    Every budget's config is built, and so validated, before any run starts.
+    """
     if not budgets:
         raise ValidationError("budget sweep needs at least one budget")
-    unique: list[int] = []
+    configs: dict[int, ExperimentConfig] = {}
     for b in budgets:
-        if b < 0:
-            raise ValidationError(f"memory budget must be >= 0, got {b}")
-        if b in unique:
+        if b in configs:
             warnings.warn(f"duplicate budget {b} ignored", stacklevel=2)
         else:
-            unique.append(b)
-    return [(b, run_experiment(replace(config, memory_budget=b))) for b in sorted(unique)]
+            configs[b] = replace(config, memory_budget=b)
+    return [(b, run_experiment(configs[b])) for b in sorted(configs)]
 
 
 SWEEP_HEADER = "M,task,accuracy,avg_accuracy,macro_f1,gmean,wall_ms"

@@ -164,15 +164,6 @@ def _distill_rows(batch: TrainingBatch, config: LossConfig) -> np.ndarray:
     return np.ones(len(batch), dtype=bool)
 
 
-def _soft_targets(
-    teacher: SoftmaxModel, X: np.ndarray, rows: np.ndarray, temperature: float
-) -> np.ndarray:
-    """The teacher's softened distribution on the distilled rows of X."""
-    if not rows.any():
-        return np.zeros((0, teacher.num_classes))
-    return softmax_with_temperature(teacher.logits(X[rows]), temperature)
-
-
 def _gradient(X, Y, W, b, rows, q, config: LossConfig):
     """(dW, db) of the combined loss from raw arrays; the one gradient formula.
 
@@ -197,6 +188,42 @@ def _gradient(X, Y, W, b, rows, q, config: LossConfig):
     return grad_logits.T @ X, grad_logits.sum(axis=0)
 
 
+def _steps(
+    model: SoftmaxModel,
+    teacher: SoftmaxModel | None,
+    data: TrainingBatch,
+    config: LossConfig,
+    batch_size: int,
+) -> list[tuple]:
+    """The fixed ``(X, Y, rows, q)`` arguments of :func:`_gradient`, one per slice.
+
+    Slices of ``batch_size`` rows (0 means the whole batch) run in order; a
+    0-row batch still yields one empty slice, which :func:`_gradient` rejects.
+    The teacher is checked once and its softened distribution ``q`` computed
+    on each slice's distilled rows, since a frozen teacher never changes.
+    """
+    X = np.asarray(data.inputs, dtype=np.float64)
+    Y = _label_matrix(data)
+    n = max(X.shape[0], 1)
+    size = batch_size or n
+    slices = [slice(start, start + size) for start in range(0, n, size)]
+    if teacher is None or teacher.num_classes == 0:
+        return [(X[sl], Y[sl], None, None) for sl in slices]
+    _check_teacher(model, teacher)
+    rows = _distill_rows(data, config)
+    steps = []
+    for sl in slices:
+        X_s, rows_s = X[sl], rows[sl]
+        q = (
+            softmax_with_temperature(teacher.logits(X_s[rows_s]), config.temperature)
+            if rows_s.any()
+            else np.zeros((0, teacher.num_classes))
+        )
+        # Selecting every row by a slice spares the copies a mask costs.
+        steps.append((X_s, Y[sl], slice(None) if rows_s.all() else rows_s, q))
+    return steps
+
+
 def loss_gradient(
     batch: TrainingBatch,
     model: SoftmaxModel,
@@ -211,13 +238,7 @@ def loss_gradient(
         raise ValidationError(
             f"label width {len(batch.class_ids)} != model classes {model.num_classes}"
         )
-    X = np.asarray(batch.inputs, dtype=np.float64)
-    rows = q = None
-    if teacher is not None and teacher.num_classes:
-        _check_teacher(model, teacher)
-        rows = _distill_rows(batch, config)
-        q = _soft_targets(teacher, X, rows, config.temperature)
-    Y = _label_matrix(batch)
+    [(X, Y, rows, q)] = _steps(model, teacher, batch, config, 0)
     return _gradient(X, Y, model.weights, model.bias, rows, q, config)
 
 
@@ -251,40 +272,19 @@ def train_task(
     leaves old-class logits untouched at the task boundary. Mini-batches (if
     any) run in fixed slice order, so the whole procedure is deterministic.
 
-    Inputs are validated once: ``data`` was checked when it was built, its
-    0/1 label matrix is built once, and the teacher is checked and its
-    softened targets computed per slice before the first step, since the
-    frozen teacher never changes within a task. Each step then runs
+    Inputs are validated once: ``data`` was checked when it was built, and
+    :func:`_steps` builds every slice's fixed inputs before the first step,
+    as :func:`loss_gradient` does for its one slice. Each step then runs
     :func:`_gradient` on raw arrays; only the finiteness of the updated
     parameters is checked per step.
     """
     model = _extend_for_new_classes(model, data.class_ids)
     if config.epochs == 0:
         return model
-    X = np.asarray(data.inputs, dtype=np.float64)
-    Y = _label_matrix(data)
-    n = X.shape[0]
-    if config.batch_size == 0 or config.batch_size >= n:
-        slices = [slice(0, n)]
-    else:
-        slices = [
-            slice(start, min(start + config.batch_size, n))
-            for start in range(0, n, config.batch_size)
-        ]
     W = model.weights.copy()
     b = model.bias.copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        if teacher is None or teacher.num_classes == 0:
-            steps = [(X[sl], Y[sl], None, None) for sl in slices]
-        else:
-            _check_teacher(model, teacher)
-            rows = _distill_rows(data, config)
-            steps = []
-            for sl in slices:
-                q = _soft_targets(teacher, X[sl], rows[sl], config.temperature)
-                # Selecting every row by a slice spares the copies a mask costs.
-                selected = slice(None) if rows[sl].all() else rows[sl]
-                steps.append((X[sl], Y[sl], selected, q))
+        steps = _steps(model, teacher, data, config, config.batch_size)
         for _ in range(config.epochs):
             for X_s, Y_s, rows_s, q_s in steps:
                 grad_w, grad_b = _gradient(X_s, Y_s, W, b, rows_s, q_s, config)

@@ -17,7 +17,7 @@ from pbes.model import (
     _check_teacher,
     _distill_rows,
     _extend_for_new_classes,
-    loss_gradient,
+    _gradient,
     softmax_with_temperature,
 )
 from pbes.numerics import RANK_TOLERANCE, covariance, random_unit_directions, sign_normalize
@@ -380,12 +380,35 @@ def finite_difference_gradient(fun, W, b, eps=1e-5):
     return gW, gb
 
 
+def loss_gradient_reference(batch, model, teacher, config):
+    """``pbes.model.loss_gradient`` with its setup written out on the spot.
+
+    Distilled rows are always picked by a boolean mask, never by the slice
+    the library uses when every row is distilled, and the labels are encoded
+    by :func:`label_rows`. The gradient formula itself is the library's.
+    """
+    if len(batch.class_ids) != model.num_classes:
+        raise ValidationError(
+            f"label width {len(batch.class_ids)} != model classes {model.num_classes}"
+        )
+    X = np.asarray(batch.inputs, dtype=np.float64)
+    rows = q = None
+    if teacher is not None and teacher.num_classes:
+        _check_teacher(model, teacher)
+        rows = _distill_rows(batch, config)
+        if rows.any():
+            q = softmax_with_temperature(teacher.logits(X[rows]), config.temperature)
+        else:
+            q = np.zeros((0, teacher.num_classes))
+    return _gradient(X, label_rows(batch), model.weights, model.bias, rows, q, config)
+
+
 def train_task_reference(model, teacher, data, config):
     """Gradient descent with every step rebuilt and re-validated from scratch.
 
     Each step builds a fresh SoftmaxModel and TrainingBatch for its slice and
-    calls the public loss_gradient, which re-encodes the slice's labels and
-    recomputes the teacher's logits.
+    calls :func:`loss_gradient_reference`, which re-encodes the slice's
+    labels and recomputes the teacher's logits.
     """
     model = _extend_for_new_classes(model, data.class_ids)
     if config.epochs == 0:
@@ -412,7 +435,7 @@ def train_task_reference(model, teacher, data, config):
                     if data.exemplar_mask is None
                     else data.exemplar_mask[sl],
                 )
-                grad_w, grad_b = loss_gradient(sub, current, teacher, config)
+                grad_w, grad_b = loss_gradient_reference(sub, current, teacher, config)
                 W = W - config.learning_rate * grad_w
                 b = b - config.learning_rate * grad_b
                 if not (np.isfinite(W).all() and np.isfinite(b).all()):

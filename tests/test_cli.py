@@ -313,6 +313,21 @@ class TestSweep:
         assert run_cli("sweep", "--config", config, "--budgets", "8,x",
                        "--out", tmp_path / "s.csv") == 2
 
+    @pytest.mark.parametrize(
+        "overrides, budgets",
+        [({"mode": "finetune", "memory_budget": 0}, "0,8"), ({}, "8,-4")],
+    )
+    def test_invalid_budget_runs_nothing(self, tmp_path, monkeypatch, overrides, budgets):
+        import pbes.harness as harness
+
+        calls = []
+        monkeypatch.setattr(harness, "run_experiment", lambda config: calls.append(config))
+        config = minimal_config(tmp_path, **overrides)
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--config", config, "--budgets", budgets, "--out", out) == 2
+        assert calls == []
+        assert not out.exists()
+
     def test_large_budget_sweep_shape(self, tmp_path):
         # budgets exceeding the data size saturate the quotas but still run
         config = minimal_config(tmp_path)

@@ -264,6 +264,88 @@ def test_memory_contents_pinned(monkeypatch, sampler, budget):
         assert np.array_equal(sc.points, train[sc.class_id][list(sc.ordered_indices)])
 
 
+# Metrics CSV rows (after the header) of each path through the run loop on
+# CSV_SPEC, recorded before the three modes shared one loop: which rows are
+# trained on, with which teacher, and which test rows are scored all show here.
+CSV_SPEC = SyntheticStreamSpec(
+    classes=6, tasks=3, class_size=24, imbalance_ratio=2.0, dims=4, layout_radius=2.5
+)
+CSV_LOSS = fast_loss(learning_rate=2e-3, epochs=80)
+PINNED_CSV = {
+    "method": (
+        {},
+        (
+            "1,0.888889,0.888889,0.883117,0.866025,0.000000",
+            "2,0.812500,0.850694,0.793939,0.759836,0.000000",
+            "3,0.571429,0.757606,0.507937,0.000000,0.000000",
+        ),
+    ),
+    "method_augment": (
+        dict(augment=AugmentSettings(enabled=True)),
+        (
+            "1,0.888889,0.888889,0.883117,0.866025,0.000000",
+            "2,0.812500,0.850694,0.793939,0.759836,0.000000",
+            "3,0.523810,0.741733,0.452910,0.000000,0.000000",
+        ),
+    ),
+    "finetune": (
+        dict(mode="finetune", memory_budget=0),
+        (
+            "1,0.888889,0.888889,0.883117,0.866025,0.000000",
+            "2,0.562500,0.725694,0.520833,0.000000,0.000000",
+            "3,0.333333,0.594907,0.233333,0.000000,0.000000",
+        ),
+    ),
+    "finetune_augment": (
+        dict(mode="finetune", memory_budget=0, augment=AugmentSettings(enabled=True)),
+        (
+            "1,0.888889,0.888889,0.883117,0.866025,0.000000",
+            "2,0.500000,0.694444,0.476190,0.000000,0.000000",
+            "3,0.333333,0.574074,0.233333,0.000000,0.000000",
+        ),
+    ),
+    "upperbound": (
+        dict(mode="upperbound", memory_budget=0),
+        (
+            "1,0.888889,0.888889,0.883117,0.866025,0.000000",
+            "2,0.875000,0.881944,0.863781,0.840896,0.000000",
+            "3,0.761905,0.841931,0.729293,0.707107,0.000000",
+        ),
+    ),
+    "exemplars_only": (
+        dict(
+            loss=replace(
+                CSV_LOSS,
+                distill_scope="exemplars_only",
+                batch_size=4,
+                ce_shared_temperature=True,
+            )
+        ),
+        (
+            "1,0.888889,0.888889,0.883117,0.866025,0.000000",
+            "2,0.750000,0.819444,0.709091,0.638943,0.000000",
+            "3,0.809524,0.816138,0.770298,0.741836,0.000000",
+        ),
+    ),
+    "ncm": (
+        dict(classifier="ncm"),
+        (
+            "1,0.777778,0.777778,0.775000,0.774597,0.000000",
+            "2,0.750000,0.763889,0.754167,0.740083,0.000000",
+            "3,0.714286,0.747354,0.705556,0.681292,0.000000",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CSV))
+def test_metrics_csv_pinned(name):
+    overrides, expected = PINNED_CSV[name]
+    config = tiny_config(**{"stream": CSV_SPEC, "loss": CSV_LOSS, **overrides})
+    csv = format_metrics_rows(run_experiment(config))
+    assert csv.splitlines()[1:] == list(expected)
+
+
 class TestSweep:
     def test_blocks_and_ordering(self):
         results = sweep_budgets(tiny_config(), [16, 8])
@@ -293,8 +375,25 @@ class TestSweep:
             sweep_budgets(tiny_config(), [])
 
     def test_negative_budget_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="got -4"):
             sweep_budgets(tiny_config(), [-4])
+
+    @pytest.mark.parametrize(
+        "overrides, budgets",
+        [
+            (dict(mode="finetune", memory_budget=0), [0, 8]),
+            (dict(classifier="ncm"), [4, 0]),
+            ({}, [8, 16, -4]),
+        ],
+    )
+    def test_every_budget_checked_before_any_run(self, monkeypatch, overrides, budgets):
+        import pbes.harness as harness
+
+        calls = []
+        monkeypatch.setattr(harness, "run_experiment", lambda config: calls.append(config))
+        with pytest.raises(ValidationError):
+            sweep_budgets(tiny_config(**overrides), budgets)
+        assert calls == []
 
 
 def test_decision_flags_cover_behavioural_switches():

@@ -11,6 +11,7 @@ from pbes.model import (
     LossConfig,
     SoftmaxModel,
     TrainingBatch,
+    _extend_for_new_classes,
     loss_gradient,
     predict,
     softmax_with_temperature,
@@ -23,6 +24,7 @@ from oracles import (
     cross_entropy_loss,
     distillation_loss,
     finite_difference_gradient,
+    loss_gradient_reference,
     train_task_reference,
 )
 
@@ -422,6 +424,33 @@ class TestTrainTaskMatchesReference:
             for train in (train_task, train_task_reference):
                 with pytest.raises(NumericalError):
                     train(teacher, teacher, batch, config)
+
+    def test_zero_row_batch_raises_in_all(self):
+        ids = (0, 1)
+        batch = TrainingBatch(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), ids)
+        model = SoftmaxModel(np.ones((2, 2)), np.zeros(2), ids)
+        old = SoftmaxModel(np.ones((1, 2)), np.zeros(1), ids[:1])
+        for teacher in (None, old):
+            for batch_size in (0, 3):
+                config = LossConfig(epochs=2, batch_size=batch_size)
+                for train in (train_task, train_task_reference):
+                    with pytest.raises(ValidationError, match="at least one logit"):
+                        train(model, teacher, batch, config)
+                with pytest.raises(ValidationError, match="at least one logit"):
+                    loss_gradient(batch, model, teacher, config)
+
+
+class TestLossGradientMatchesReference:
+    """loss_gradient shares train_task's step builder; the reference selects
+    distilled rows by a mask and encodes labels with a loop."""
+
+    @given(training_problems())
+    def test_bit_identical(self, problem):
+        model, teacher, batch, config = problem
+        student = _extend_for_new_classes(model, batch.class_ids)
+        fast = loss_gradient(batch, student, teacher, config)
+        slow = loss_gradient_reference(batch, student, teacher, config)
+        assert [a.tobytes() for a in fast] == [a.tobytes() for a in slow]
 
 
 class _MeanMemory:
