@@ -93,6 +93,44 @@ def selective_cut(image, region: Region) -> np.ndarray:
     return out
 
 
+# Float64 values copied at once by ``_window_scores``: about 512 KB.
+_BLOCK_VALUES = 1 << 16
+
+
+def _window_scores(s: np.ndarray, rh: int, rw: int) -> np.ndarray:
+    """Saliency sum of every rh x rw window of ``s`` at unit stride, in raster order.
+
+    Each score has the bits of ``float(s[t:t+rh, l:l+rw].sum())``. numpy sums a
+    slice of a C-ordered map that fits its reduction buffer
+    (``np.getbufsize()`` values) pairwise in row-major order in one pass, as it
+    sums the slice's contiguous copy; windows are copied a block at a time,
+    which bounds the temporary. numpy sums a larger 2-D slice buffer by buffer,
+    and a slice of a map in another memory layout in that layout's order, so
+    those keep the slice loop.
+    """
+    rows, cols, size = s.shape[0] - rh + 1, s.shape[1] - rw + 1, rh * rw
+    if size > np.getbufsize() or not s.flags.c_contiguous:
+        return np.array([
+            float(s[t : t + rh, l : l + rw].sum()) for t in range(rows) for l in range(cols)
+        ])
+    # Every window as a view of ``s`` (numpy checks that it stays inside ``s``);
+    # as_strided and sliding_window_view cost more than the rest of a small
+    # map's search.
+    views = np.ndarray((rows, cols, rh, rw), s.dtype, s, strides=s.strides * 2)
+    # A block is whole window rows, or part of one row when a row holds more
+    # than a block, so the blocks' scores concatenate in raster order.
+    per_block = max(1, _BLOCK_VALUES // size)
+    row_step, col_step = max(1, per_block // cols), min(cols, per_block)
+    blocks = (
+        views[t : t + row_step, l : l + col_step].reshape(-1, size)
+        for t in range(0, rows, row_step)
+        for l in range(0, cols, col_step)
+    )
+    # reshape returns a view where it can (column windows, say), and numpy would
+    # sum that view's rows in another order than a contiguous copy's.
+    return np.concatenate([np.ascontiguousarray(b).sum(axis=1) for b in blocks])
+
+
 def find_low_importance_region(
     saliency,
     region_height: int,
@@ -116,25 +154,20 @@ def find_low_importance_region(
         )
     if region_height < 1 or region_width < 1:
         raise ValidationError("region extent must be >= 1")
-    positions = [
-        (t, l) for t in range(h - region_height + 1) for l in range(w - region_width + 1)
-    ]
-    scores = np.array(
-        [float(s[t : t + region_height, l : l + region_width].sum()) for t, l in positions]
-    )
+    scores = _window_scores(s, region_height, region_width)
     if mode == "deterministic":
-        top, left = positions[int(np.argmin(scores))]
+        pick = int(np.argmin(scores))
     elif mode == "randomized":
         if rng is None:
             raise ValidationError("randomized region search requires a seed")
         if not 0.0 <= tau <= 1.0:
             raise ValidationError(f"tau must be in [0, 1], got {tau}")
         cutoff = float(np.quantile(scores, tau))
-        eligible = [i for i, sc in enumerate(scores) if sc <= cutoff]
-        pick = eligible[int(rng.generator().integers(len(eligible)))]
-        top, left = positions[pick]
+        eligible = np.flatnonzero(scores <= cutoff)
+        pick = int(eligible[int(rng.generator().integers(len(eligible)))])
     else:
         raise ValidationError(f"unknown region search mode {mode!r}")
+    top, left = divmod(pick, w - region_width + 1)
     return Region(top=top, left=left, height=region_height, width=region_width)
 
 

@@ -76,8 +76,16 @@ class ExperimentConfig:
             raise ValidationError(
                 f"memory budget must be >= 0, got {self.memory_budget}"
             )
-        if self.mode == "finetune" and self.memory_budget != 0:
-            raise ValidationError("finetune mode requires a zero memory budget")
+        if self.mode in ("finetune", "upperbound") and self.memory_budget != 0:
+            raise ValidationError(
+                f"{self.mode} mode keeps no memory: memory_budget must be 0, "
+                f"got {self.memory_budget}"
+            )
+        if self.mode == "upperbound" and self.augment.enabled:
+            raise ValidationError(
+                "upperbound mode trains on every task's data as it is: "
+                "augmentation.enabled must be false"
+            )
         if self.classifier == "ncm" and (
             self.mode != "method" or self.memory_budget < 1
         ):

@@ -452,3 +452,22 @@ def importance_score(saliency, region: Region) -> float:
         region.left : region.left + region.width,
     ]
     return float(window.sum())
+
+
+def window_scores_loop(s, rh, rw):
+    """One slice sum per window, in raster order (the former region-search loop)."""
+    positions = [(t, l) for t in range(s.shape[0] - rh + 1) for l in range(s.shape[1] - rw + 1)]
+    return np.array([float(s[t : t + rh, l : l + rw].sum()) for t, l in positions])
+
+
+def find_low_importance_region_reference(saliency, rh, rw, mode, rng=None, tau=0.25):
+    """The former region search: a list of corners and a Python filter for eligibility."""
+    s = as_saliency(saliency)
+    positions = [(t, l) for t in range(s.shape[0] - rh + 1) for l in range(s.shape[1] - rw + 1)]
+    scores = window_scores_loop(s, rh, rw)
+    if mode == "deterministic":
+        return Region(*positions[int(np.argmin(scores))], rh, rw)
+    cutoff = float(np.quantile(scores, tau))
+    eligible = [i for i, sc in enumerate(scores) if sc <= cutoff]
+    pick = eligible[int(rng.generator().integers(len(eligible)))]
+    return Region(*positions[pick], rh, rw)

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pbes.augmentation import (
     AugmentParams,
     Region,
+    _window_scores,
+    as_saliency,
     augment_class_records,
     balance_plan,
     fallback_saliency,
@@ -17,7 +21,7 @@ from pbes.augmentation import (
 from pbes.errors import FileFormatError, ValidationError
 from pbes.numerics import RngState
 
-from oracles import importance_score
+from oracles import find_low_importance_region_reference, importance_score, window_scores_loop
 
 
 class TestBalancePlan:
@@ -150,6 +154,58 @@ class TestFindLowImportanceRegion:
     def test_randomized_requires_seed(self):
         with pytest.raises(ValidationError):
             find_low_importance_region(np.ones((3, 3)), 1, 1, mode="randomized")
+
+
+@st.composite
+def region_searches(draw):
+    """(map, window height, window width, mode, seed, tau) for one region search.
+
+    Maps are float64, rounded to tenths (many tied windows) or float32 as read
+    from PBSM, and C-ordered (as every map the program builds), Fortran-ordered
+    or a reversed view; shapes are general, 1 x k rows as the harness builds
+    them, or windows as large as the map.
+    """
+    shape = draw(st.sampled_from(["any", "row", "full"]))
+    h = 1 if shape == "row" else draw(st.integers(1, 24))
+    w = draw(st.integers(1, 24))
+    rh, rw = (h, w) if shape == "full" else (
+        draw(st.integers(1, h)), draw(st.integers(1, w)))
+    values = draw(st.sampled_from(["float64", "tenths", "float32"]))
+    s = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0, 1, (h, w))
+    if values == "tenths":
+        s = np.round(s * 10) / 10
+    elif values == "float32":
+        s = s.astype(np.float32)
+    layout = draw(st.sampled_from(["C", "C", "F", "reversed"]))
+    if layout == "F":
+        s = np.asfortranarray(s)
+    elif layout == "reversed":
+        s = s[::-1, ::-1].copy()[::-1, ::-1]
+    mode = draw(st.sampled_from(["deterministic", "randomized"]))
+    return s, rh, rw, mode, draw(st.integers(0, 2**32 - 1)), draw(st.floats(0.0, 1.0))
+
+
+def _map(h, w, seed):
+    return np.random.default_rng(seed).uniform(0, 1, (h, w))
+
+
+@given(region_searches())
+# Several blocks of window rows, as in a 64 x 64 image with a 16 x 16 cut.
+@example((_map(64, 64, 14), 16, 16, "deterministic", 0, 0.25))
+# One window row is more than a block, so rows are split across blocks.
+@example((_map(40, 300, 15), 30, 250, "randomized", 2, 0.25))
+# 8,281-element windows, beyond numpy's 8,192-value reduction buffer.
+@example((_map(93, 92, 16), 91, 91, "deterministic", 0, 0.25))
+@example((_map(93, 92, 16), 91, 91, "randomized", 3, 0.5))
+# Column windows: reshaping their view gives windows along a strided axis.
+@example((np.round(_map(22, 6, 17), 1), 8, 1, "randomized", 1, 0.5))
+@settings(max_examples=200)
+def test_region_search_equals_the_slice_loop(search):
+    s, rh, rw, mode, seed, tau = search
+    assert (_window_scores(as_saliency(s), rh, rw).tobytes()
+            == window_scores_loop(as_saliency(s), rh, rw).tobytes())
+    got = find_low_importance_region(s, rh, rw, mode=mode, rng=RngState(seed), tau=tau)
+    assert got == find_low_importance_region_reference(s, rh, rw, mode, RngState(seed), tau)
 
 
 class TestAugmentParams:

@@ -364,6 +364,23 @@ class TestOverrides:
                        "--out", tmp_path / "m.csv") == 2
 
     @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            pytest.param({"memory_budget": 40}, "memory_budget", id="budget"),
+            pytest.param(
+                {"memory_budget": 0, "augmentation": {"enabled": True}},
+                "augmentation.enabled", id="augmentation",
+            ),
+        ],
+    )
+    def test_upperbound_rejects_what_it_would_ignore(self, tmp_path, capsys, overrides, field):
+        config = minimal_config(tmp_path, mode="upperbound", **overrides)
+        out = tmp_path / "u.csv"
+        assert run_cli("run", "--config", config, "--out", out) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "overrides, key_path",
         [
             pytest.param({"memory_budget": "lots"}, "memory_budget", id="budget_str"),
