@@ -223,7 +223,11 @@ def cmd_sample(args) -> int:
         "train",
     )
     write_dataset_csv(out_dir / "exemplars.csv", picked)
-    print(f"selected {len(selection)} of {rows.shape[0]} rows with {args.method}")
+    basis = ""
+    if selection.source is not None:
+        rank = "" if selection.rank is None else f", rank {selection.rank}"
+        basis = f" (basis {selection.source}{rank})"
+    print(f"selected {len(selection)} of {rows.shape[0]} rows with {args.method}{basis}")
     return 0
 
 

@@ -30,12 +30,17 @@ class ExemplarSelection:
 
     ``appended_count`` records how many points the median loop appended before
     truncation to m (always m or m+1); it is None for samplers without that
-    loop (herding, random).
+    loop (herding, random). ``source`` and ``rank`` come from the median
+    loop's direction basis: "pca" or "fallback" with the numerical rank of
+    the class for pbes (fallback: more passes than rank, directions cycled),
+    "random" with no rank for randp, and None for herding and random.
     """
 
     method: str
     ordered_indices: tuple[int, ...]
     appended_count: int | None = None
+    source: str | None = None
+    rank: int | None = None
 
     def __len__(self) -> int:
         return len(self.ordered_indices)
@@ -102,7 +107,7 @@ def pbes_sample(X, m: int) -> ExemplarSelection:
     passes = direction_count(n, m)
     basis = principal_directions(A, passes)
     indices, appended = _median_select(A, basis.directions, passes, m)
-    return ExemplarSelection("pbes", tuple(indices), appended)
+    return ExemplarSelection("pbes", tuple(indices), appended, basis.source, basis.rank)
 
 
 def randp_sample(
@@ -127,7 +132,7 @@ def randp_sample(
         raise ValidationError(f"direction pool size must be >= 1, got {k}")
     basis = random_unit_directions(d, min(k, passes), rng)
     indices, appended = _median_select(A, basis.directions, passes, m)
-    return ExemplarSelection("randp", tuple(indices), appended)
+    return ExemplarSelection("randp", tuple(indices), appended, basis.source)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -6,6 +6,7 @@ meaningful rather than circular.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -63,23 +64,26 @@ def mean_fsum_loop(X):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def covariance_fsum_loop(X):
-    """Population covariance, one math.fsum per column pair (the former loop)."""
+def covariance_exact_dot(X):
+    """Population covariance: each entry the exact dot product of two centred
+    columns as a Fraction, rounded once to float, then divided by n.
+
+    Every float is a whole multiple of 2^-1074, so the dot product is an
+    integer over 2^2148; Fraction rounds it correctly to float or raises
+    OverflowError.
+    """
     A = np.asarray(X, dtype=float)
     n, d = A.shape
     centered = A - mean_fsum_loop(A)
     cov = np.empty((d, d))
-    overflow = NumericalError("covariance of the data overflows float64")
     try:
+        columns = [[int(Fraction(x) * 2**1074) for x in centered[:, j].tolist()] for j in range(d)]
         for a in range(d):
             for b in range(a, d):
-                s = math.fsum((centered[:, a] * centered[:, b]).tolist()) / n
-                cov[a, b] = s
-                cov[b, a] = s
-    except (OverflowError, ValueError) as exc:  # huge terms, or both infinities
-        raise overflow from exc
-    if not np.isfinite(cov).all():
-        raise overflow
+                dot = Fraction(sum(x * y for x, y in zip(columns[a], columns[b])), 2**2148)
+                cov[a, b] = cov[b, a] = float(dot) / n
+    except (OverflowError, ValueError) as exc:  # a centred value or an entry beyond float64
+        raise NumericalError("covariance of the data overflows float64") from exc
     return cov
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import pbes
 from pbes.augmentation import read_pbim, write_pbim, write_pbsm
+from pbes.benchmark import blob_stream_spec
 from pbes.cli import main
 from pbes.stream import (
     LabeledDataset,
@@ -93,6 +94,21 @@ class TestSample:
         assert rows[0] == "label,f0"
         assert rows[1] == "0,3.0"
         assert rows[2] == "0,2.0"
+
+    def test_summary_names_the_basis_and_rank(self, tmp_path, capsys):
+        train = generate_synthetic_stream(blob_stream_spec(), 0).tasks[0].train
+        path = tmp_path / "blob.csv"
+        write_dataset_csv(path, train)
+        for method, m, basis in (
+            ("pbes", 20, " (basis fallback, rank 8)"),
+            ("pbes", 4, " (basis pca, rank 8)"),
+            ("randp", 4, " (basis random)"),
+            ("herding", 4, ""),
+        ):
+            assert run_cli("sample", "--input", path, "--label", 0, "--method", method,
+                           "--m", m, "--seed", 1, "--out", tmp_path / method) == 0
+            rows = int((train.labels == 0).sum())
+            assert capsys.readouterr().out == f"selected {m} of {rows} rows with {method}{basis}\n"
 
     def test_random_without_seed_is_usage_error(self, tmp_path, five_point_csv):
         code = run_cli("sample", "--input", five_point_csv, "--method", "random",

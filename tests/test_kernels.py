@@ -1,8 +1,9 @@
-"""The vectorized sampler kernels against the loops they replaced.
+"""The vectorized sampler kernels against their references.
 
-Covariance and means must equal the per-pair ``math.fsum`` loop bit for bit,
+Means must equal the per-column ``math.fsum`` loop bit for bit, covariance
+the exact ``Fraction`` dot product of the centred columns rounded once,
 herding and median selection must pick the rows the per-row loops pick, and
-every input the loops reject must raise the same NumericalError text. The
+every input a reference rejects must raise the same NumericalError text. The
 families are tie-heavy (grids, duplicated rows, one-hot) or extreme (wide
 exponents, subnormal, near overflow, large offsets).
 """
@@ -21,7 +22,7 @@ from pbes.numerics import (
 )
 from pbes.sampling import _median_select, direction_count, herding_sample
 
-from oracles import covariance_fsum_loop, herding_loop, mean_fsum_loop, median_select_loop
+from oracles import covariance_exact_dot, herding_loop, mean_fsum_loop, median_select_loop
 
 FAMILIES = (
     "gaussian",
@@ -84,8 +85,8 @@ def outcome(fn, *args):
 
 
 def _tall(huge_column: bool) -> np.ndarray:
-    # More rows than one block holds, so every column pair is its own block;
-    # a huge first column sends its pairs to the term-by-term path.
+    # More rows than one block of slices holds, so the slice products add up
+    # across blocks; a huge first column puts its variance near overflow.
     X = np.random.default_rng(5).normal(size=((1 << 14) + 3, 3))
     if huge_column:
         X[:, 0] *= 3e151
@@ -97,11 +98,30 @@ def _tall(huge_column: bool) -> np.ndarray:
 @example((_tall(True), 1))
 @example((np.array([[2.0**500, 0.0], [-(2.0**500), 0.0]]), 1))
 @example((np.array([[1.0], [2.0**-53], [2.0**-200]]), 1))  # three partials; the last rounds up
+@example((np.array([[1.0, 2.0], [1.0, 3.0], [1.0, 5.0]]), 1))  # a constant column
+# 1e+-300 rows: a centred value far below its column's largest leaves more
+# than the sliced bits (here it alone sets entry (0, 1)), and products of
+# 1e-300 values round to subnormals.
+@example((np.array([[1.0, 0.0], [-1.0, 0.0], [1e-300, 1.0]]), 1))
+@example((np.array([[1e-160, 1e-300], [-1e-160, 3e-300], [0.0, -2e-300]]), 1))
+# Off-diagonal dot product 2^-1074 * (2.5 + 2.5 * 2^-78): just above a
+# subnormal midpoint, where rounding to 53 bits first would round twice.
+@example((np.array([[1.25 * (1 + 2.0**-26), 2.0**-74 * (1 - 2.0**-26 + 2.0**-52)]]) * 2.0**-500
+          * np.array([[1.0], [-1.0]]), 1))
 @settings(max_examples=200)
 def test_covariance_and_mean_equal_the_fsum_loops(case):
     X, _ = case
     assert outcome(mean_vector, X) == outcome(mean_fsum_loop, X)
-    assert outcome(covariance, X) == outcome(covariance_fsum_loop, X)
+    assert outcome(covariance, X) == outcome(covariance_exact_dot, X)
+
+
+@given(cases(), st.randoms(use_true_random=False))
+@settings(max_examples=200)
+def test_covariance_is_exactly_invariant_under_row_permutation(case, rnd):
+    X, _ = case
+    perm = list(range(X.shape[0]))
+    rnd.shuffle(perm)
+    assert outcome(covariance, X[perm]) == outcome(covariance, X)
 
 
 @given(cases())

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pbes.benchmark import blob_stream_spec
 from pbes.errors import NumericalError, ValidationError
 from pbes.numerics import RANK_TOLERANCE, RngState, principal_directions
 from pbes.sampling import (
@@ -13,6 +14,7 @@ from pbes.sampling import (
     randp_sample,
     sample,
 )
+from pbes.stream import generate_synthetic_stream
 
 from oracles import (
     cyclic_jacobi_basis,
@@ -369,3 +371,22 @@ def test_sample_dispatch_requires_seed_for_stochastic():
 def test_sample_pool_size_needs_randp(method):
     with pytest.raises(ValidationError, match="randp_pool only applies to the randp sampler"):
         sample(method, column([1, 2, 3]), 1, rng=RngState(0), pool_size=5)
+
+
+def blob_class(cid=0, seed=0):
+    """The train rows of one blob-benchmark class (d = 8, rank 8)."""
+    train = generate_synthetic_stream(blob_stream_spec(), seed).tasks[0].train
+    return train.points[train.labels == cid]
+
+
+def test_selection_records_the_basis_and_the_rank_fallback():
+    X = blob_class()
+    # m=20 takes 10 median passes, more than the 8 informative directions.
+    fallback = pbes_sample(X, 20)
+    assert (fallback.source, fallback.rank) == ("fallback", 8)
+    plain = pbes_sample(X, 8)
+    assert (plain.source, plain.rank) == ("pca", 8)
+    randp = randp_sample(X, 20, RngState(3))
+    assert (randp.source, randp.rank) == ("random", None)
+    for sel in (herding_sample(X, 20), random_sample(X, 20, RngState(3))):
+        assert (sel.source, sel.rank) == (None, None)
