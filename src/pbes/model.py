@@ -6,10 +6,17 @@ task exists, a distillation term over the old classes at temperature T > 1.
 The combined objective is ``beta * distill + (1 - beta) * cross_entropy``;
 both terms are sums over the batch, not means, so learning rates couple to
 batch size. Models are immutable values: training returns a new model.
+
+The training kernel works on (classes, rows) arrays, so its softmax reduces
+over contiguous rows. Its bits equal those of the row-major formula: the
+softmax normaliser follows numpy's pairwise row sum, and the BLAS products and
+the bias sum keep the (rows, classes) layout. Like ``eigh``'s, these bits hold
+for one numpy/BLAS build.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,12 +85,16 @@ class LossConfig:
     ce_shared_temperature: bool = False
 
     def __post_init__(self):
-        if not self.temperature > 1.0:
-            raise ValidationError(f"temperature must be > 1, got {self.temperature}")
+        if not 1.0 < self.temperature < math.inf:
+            raise ValidationError(
+                f"temperature must be finite and > 1, got {self.temperature}"
+            )
         if not 0.0 <= self.beta <= 1.0:
             raise ValidationError(f"beta must be in [0, 1], got {self.beta}")
-        if self.learning_rate <= 0:
-            raise ValidationError("learning rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValidationError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}"
+            )
         if self.epochs < 0 or self.batch_size < 0:
             raise ValidationError("epochs and batch size must be >= 0")
         if self.distill_scope not in ("all", "exemplars_only"):
@@ -131,7 +142,8 @@ class TrainingBatch:
 
 
 def _label_matrix(batch: TrainingBatch) -> np.ndarray:
-    """0/1 rows over ``batch.class_ids``: the targets :func:`_gradient` reads."""
+    """0/1 rows over ``batch.class_ids``: the targets :func:`_gradient` reads,
+    transposed by :func:`_steps`."""
     return (batch.labels[:, None] == np.asarray(batch.class_ids)).astype(np.float64)
 
 
@@ -164,28 +176,92 @@ def _distill_rows(batch: TrainingBatch, config: LossConfig) -> np.ndarray:
     return np.ones(len(batch), dtype=bool)
 
 
-def _gradient(X, Y, W, b, rows, q, config: LossConfig):
+def _column_sums(s: np.ndarray) -> np.ndarray:
+    """Sum down each column of a (classes, rows) array.
+
+    The bits are those of numpy's sum along each row of the transpose, a
+    pairwise sum started from 0.0: fewer than 8 terms in order; up to 128
+    terms in 8 interleaved accumulators, combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` before the remainder; above 128
+    two halves, the first one's length rounded down to a multiple of 8.
+    """
+    k = s.shape[0]
+    if k < 8:
+        return np.add.reduce(s, axis=0)
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return _column_sums(s[:half]) + _column_sums(s[half:])
+    acc = s[:8] if k < 16 else s[:8].copy()
+    whole = k - k % 8
+    for start in range(8, whole, 8):
+        acc += s[start : start + 8]
+    pairs = acc[0::2] + acc[1::2]
+    total = pairs[0] + pairs[1]
+    total += pairs[2] + pairs[3]
+    for row in s[whole:]:
+        total += row
+    total += 0.0
+    return total
+
+
+def _softmax_columns(s: np.ndarray, temperature: float) -> np.ndarray:
+    """Temperature softmax down each column of ``s``, computed in place.
+
+    Bit for bit :func:`softmax_with_temperature` on a C-ordered copy of
+    ``s.T``, transposed back: a max and the elementwise steps do not depend on
+    the layout, and :func:`_column_sums` keeps the order of numpy's row sum.
+    """
+    if temperature != 1.0:
+        s /= temperature
+    s -= np.maximum.reduce(s, axis=0)
+    np.exp(s, out=s)
+    s /= _column_sums(s)
+    return s
+
+
+def _coefficients(config: LossConfig) -> tuple[float, float, float, float]:
+    """The cross-entropy temperature, the distillation temperature, beta and
+    1 - beta, which :func:`_gradient` reads on every step."""
+    return config.ce_temperature(), config.temperature, config.beta, 1.0 - config.beta
+
+
+def _gradient(X, Yt, W, b, rows, qt, coefficients):
     """(dW, db) of the combined loss from raw arrays; the one gradient formula.
 
+    Logits, targets and the gradient are (classes, rows) arrays, so each
+    softmax reduces over contiguous rows. ``Yt`` holds the 0/1 labels.
     ``rows`` selects the distilled rows, as a boolean mask or as a slice when
-    every row is distilled. ``q`` is the teacher's softened distribution on
+    every row is distilled. ``qt`` is the teacher's softened distribution on
     those rows, or None when there is no teacher (beta is then 0).
     """
-    logits = X @ W.T + b
-    ce_temp = config.ce_temperature()
-    probs = softmax_with_temperature(logits, ce_temp)
-    if q is None:
-        grad_logits = (probs - Y) / ce_temp
-    else:
-        grad_logits = (1.0 - config.beta) * (probs - Y) / ce_temp
-        if len(q):
-            k_old = q.shape[1]
-            temp = config.temperature
-            p = softmax_with_temperature(logits[rows][:, :k_old], temp)
-            distill_grad = np.zeros_like(grad_logits[rows])
-            distill_grad[:, :k_old] = (p - q) / temp
-            grad_logits[rows] += config.beta * distill_grad
-    return grad_logits.T @ X, grad_logits.sum(axis=0)
+    ce_temp, temp, beta, keep = coefficients
+    rowwise = X @ W.T
+    if rowwise.size == 0:
+        raise ValidationError("softmax needs at least one logit")
+    # ``W @ X.T`` would skip the copy, but BLAS rounds it differently for
+    # larger batches.
+    logits = np.add(rowwise.T, b[:, None], out=np.empty(rowwise.shape[::-1]))
+    k_old = 0 if qt is None or not qt.shape[1] else qt.shape[0]
+    if k_old:
+        p = np.array(logits[:k_old, rows])  # a copy: the next line overwrites logits
+    grad = _softmax_columns(logits, ce_temp)
+    grad -= Yt
+    if qt is not None:
+        grad *= keep
+    if ce_temp != 1.0:
+        grad /= ce_temp
+    if k_old:
+        _softmax_columns(p, temp)
+        p -= qt
+        p /= temp
+        p *= beta
+        # Only the old classes' rows: adding 0.0 to the others could only
+        # turn -0.0 into 0.0, and both sums below start from 0.0.
+        grad[:k_old, rows] += p
+    # The products and the bias sum read the (rows, classes) layout: summing
+    # the classes-first array gives other bits.
+    g = np.ascontiguousarray(grad.T)
+    return g.T @ X, np.add.reduce(g, axis=0)
 
 
 def _steps(
@@ -195,12 +271,13 @@ def _steps(
     config: LossConfig,
     batch_size: int,
 ) -> list[tuple]:
-    """The fixed ``(X, Y, rows, q)`` arguments of :func:`_gradient`, one per slice.
+    """The fixed ``(X, Yt, rows, qt)`` arguments of :func:`_gradient`, one per slice.
 
     Slices of ``batch_size`` rows (0 means the whole batch) run in order; a
     0-row batch still yields one empty slice, which :func:`_gradient` rejects.
-    The teacher is checked once and its softened distribution ``q`` computed
-    on each slice's distilled rows, since a frozen teacher never changes.
+    The teacher is checked once and its softened distribution computed on
+    each slice's distilled rows, since a frozen teacher never changes. Labels
+    and soft targets are stored transposed, one row per class.
     """
     X = np.asarray(data.inputs, dtype=np.float64)
     Y = _label_matrix(data)
@@ -208,7 +285,7 @@ def _steps(
     size = batch_size or n
     slices = [slice(start, start + size) for start in range(0, n, size)]
     if teacher is None or teacher.num_classes == 0:
-        return [(X[sl], Y[sl], None, None) for sl in slices]
+        return [(X[sl], np.ascontiguousarray(Y[sl].T), None, None) for sl in slices]
     _check_teacher(model, teacher)
     rows = _distill_rows(data, config)
     steps = []
@@ -220,7 +297,14 @@ def _steps(
             else np.zeros((0, teacher.num_classes))
         )
         # Selecting every row by a slice spares the copies a mask costs.
-        steps.append((X_s, Y[sl], slice(None) if rows_s.all() else rows_s, q))
+        steps.append(
+            (
+                X_s,
+                np.ascontiguousarray(Y[sl].T),
+                slice(None) if rows_s.all() else rows_s,
+                np.ascontiguousarray(q.T),
+            )
+        )
     return steps
 
 
@@ -238,8 +322,10 @@ def loss_gradient(
         raise ValidationError(
             f"label width {len(batch.class_ids)} != model classes {model.num_classes}"
         )
-    [(X, Y, rows, q)] = _steps(model, teacher, batch, config, 0)
-    return _gradient(X, Y, model.weights, model.bias, rows, q, config)
+    [(X, Yt, rows, qt)] = _steps(model, teacher, batch, config, 0)
+    return _gradient(
+        X, Yt, model.weights, model.bias, rows, qt, _coefficients(config)
+    )
 
 
 def _extend_for_new_classes(
@@ -275,21 +361,25 @@ def train_task(
     Inputs are validated once: ``data`` was checked when it was built, and
     :func:`_steps` builds every slice's fixed inputs before the first step,
     as :func:`loss_gradient` does for its one slice. Each step then runs
-    :func:`_gradient` on raw arrays; only the finiteness of the updated
-    parameters is checked per step.
+    :func:`_gradient` on raw arrays and updates ``W`` and ``b`` in place; only
+    the finiteness of the updated parameters is checked per step.
     """
     model = _extend_for_new_classes(model, data.class_ids)
     if config.epochs == 0:
         return model
     W = model.weights.copy()
     b = model.bias.copy()
+    coefficients = _coefficients(config)
+    rate = config.learning_rate
     with np.errstate(over="ignore", invalid="ignore"):
         steps = _steps(model, teacher, data, config, config.batch_size)
         for _ in range(config.epochs):
-            for X_s, Y_s, rows_s, q_s in steps:
-                grad_w, grad_b = _gradient(X_s, Y_s, W, b, rows_s, q_s, config)
-                W = W - config.learning_rate * grad_w
-                b = b - config.learning_rate * grad_b
+            for X_s, Yt_s, rows_s, qt_s in steps:
+                grad_w, grad_b = _gradient(X_s, Yt_s, W, b, rows_s, qt_s, coefficients)
+                grad_w *= rate
+                W -= grad_w
+                grad_b *= rate
+                b -= grad_b
                 if not (np.isfinite(W).all() and np.isfinite(b).all()):
                     raise NumericalError(
                         "training diverged to non-finite parameters; "

@@ -18,7 +18,6 @@ from pbes.model import (
     _check_teacher,
     _distill_rows,
     _extend_for_new_classes,
-    _gradient,
     softmax_with_temperature,
 )
 from pbes.numerics import RANK_TOLERANCE, covariance, random_unit_directions, sign_normalize
@@ -384,12 +383,32 @@ def finite_difference_gradient(fun, W, b, eps=1e-5):
     return gW, gb
 
 
+def gradient_reference(X, Y, W, b, rows, q, config):
+    """The former training kernel, verbatim: (n, classes) logits, two calls
+    of ``softmax_with_temperature`` and a zero-filled distillation term."""
+    logits = X @ W.T + b
+    ce_temp = config.ce_temperature()
+    probs = softmax_with_temperature(logits, ce_temp)
+    if q is None:
+        grad_logits = (probs - Y) / ce_temp
+    else:
+        grad_logits = (1.0 - config.beta) * (probs - Y) / ce_temp
+        if len(q):
+            k_old = q.shape[1]
+            temp = config.temperature
+            p = softmax_with_temperature(logits[rows][:, :k_old], temp)
+            distill_grad = np.zeros_like(grad_logits[rows])
+            distill_grad[:, :k_old] = (p - q) / temp
+            grad_logits[rows] += config.beta * distill_grad
+    return grad_logits.T @ X, grad_logits.sum(axis=0)
+
+
 def loss_gradient_reference(batch, model, teacher, config):
     """``pbes.model.loss_gradient`` with its setup written out on the spot.
 
     Distilled rows are always picked by a boolean mask, never by the slice
-    the library uses when every row is distilled, and the labels are encoded
-    by :func:`label_rows`. The gradient formula itself is the library's.
+    the library uses when every row is distilled, the labels are encoded by
+    :func:`label_rows`, and the gradient is :func:`gradient_reference`.
     """
     if len(batch.class_ids) != model.num_classes:
         raise ValidationError(
@@ -404,7 +423,9 @@ def loss_gradient_reference(batch, model, teacher, config):
             q = softmax_with_temperature(teacher.logits(X[rows]), config.temperature)
         else:
             q = np.zeros((0, teacher.num_classes))
-    return _gradient(X, label_rows(batch), model.weights, model.bias, rows, q, config)
+    return gradient_reference(
+        X, label_rows(batch), model.weights, model.bias, rows, q, config
+    )
 
 
 def train_task_reference(model, teacher, data, config):

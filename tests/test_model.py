@@ -11,7 +11,9 @@ from pbes.model import (
     LossConfig,
     SoftmaxModel,
     TrainingBatch,
+    _column_sums,
     _extend_for_new_classes,
+    _softmax_columns,
     loss_gradient,
     predict,
     softmax_with_temperature,
@@ -343,8 +345,9 @@ def _on_grid(a):
 def training_problems(draw):
     n = draw(st.integers(1, 40))
     d = draw(st.integers(1, 6))
-    k_old = draw(st.integers(0, 3))
-    k_new = draw(st.integers(1, 3))
+    # Up to 12 classes: a softmax over 8 or more sums in 8 accumulators.
+    k_old = draw(st.integers(0, 6))
+    k_new = draw(st.integers(1, 6))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ids = tuple(range(k_old + k_new))
     mask = draw(st.sampled_from(["none", "all_false", "mixed"]))
@@ -410,6 +413,42 @@ def _mask_versus_slice_problem():
     return model, teacher, batch, config
 
 
+def _fixed_problem(k_old, k_new, n, batch_size=0, distill_scope="all", seed=0):
+    """A problem drawn like training_problems()'s, with a teacher whenever
+    there are old classes and a mixed exemplar mask."""
+    gen = np.random.default_rng(seed)
+    ids = tuple(range(k_old + k_new))
+    batch = TrainingBatch(
+        _on_grid(gen.normal(scale=1.5, size=(n, 3))),
+        gen.integers(0, len(ids), size=n),
+        ids,
+        exemplar_mask=gen.random(n) < 0.5,
+    )
+    old_ids = ids[:k_old]
+    model = SoftmaxModel(
+        _on_grid(gen.normal(size=(k_old, 3))), _on_grid(gen.normal(size=k_old)), old_ids
+    )
+    teacher = SoftmaxModel(
+        _on_grid(gen.normal(size=(k_old, 3))), _on_grid(gen.normal(size=k_old)), old_ids
+    )
+    config = LossConfig(
+        temperature=2.0, beta=0.5, learning_rate=0.05, epochs=2,
+        batch_size=batch_size, distill_scope=distill_scope,
+    )
+    return model, teacher if k_old else None, batch, config
+
+
+# Eight classes (the first with 8 accumulators); ten, as in the blob
+# benchmark's last task, distilling exemplars only; a last slice of one row;
+# a model with a single class.
+FIXED_PROBLEMS = (
+    _fixed_problem(5, 3, 30, seed=1),
+    _fixed_problem(8, 2, 25, batch_size=7, distill_scope="exemplars_only", seed=2),
+    _fixed_problem(2, 2, 9, batch_size=4, seed=3),
+    _fixed_problem(0, 1, 6, seed=4),
+)
+
+
 def _outcome(train, model, teacher, batch, config):
     try:
         out = train(model, teacher, batch, config)
@@ -424,6 +463,10 @@ class TestTrainTaskMatchesReference:
 
     @given(training_problems())
     @example(_mask_versus_slice_problem())
+    @example(FIXED_PROBLEMS[0])
+    @example(FIXED_PROBLEMS[1])
+    @example(FIXED_PROBLEMS[2])
+    @example(FIXED_PROBLEMS[3])
     def test_bit_identical(self, problem):
         model, teacher, batch, config = problem
         fast = _outcome(train_task, model, teacher, batch, config)
@@ -468,12 +511,67 @@ class TestLossGradientMatchesReference:
 
     @given(training_problems())
     @example(_mask_versus_slice_problem())
+    @example(FIXED_PROBLEMS[0])
+    @example(FIXED_PROBLEMS[1])
+    @example(FIXED_PROBLEMS[2])
+    @example(FIXED_PROBLEMS[3])
     def test_bit_identical(self, problem):
         model, teacher, batch, config = problem
         student = _extend_for_new_classes(model, batch.class_ids)
         fast = loss_gradient(batch, student, teacher, config)
         slow = loss_gradient_reference(batch, student, teacher, config)
         assert [a.tobytes() for a in fast] == [a.tobytes() for a in slow]
+
+
+SPECIAL_VALUES = (0.0, -0.0, 1.0, -2.5, np.inf, -np.inf, np.nan, 1e300, 5e-324)
+
+
+@st.composite
+def class_major_arrays(draw):
+    """(classes, rows) arrays: Gaussian, tie-heavy with signed zeros, or
+    special values (zeros, infinities, NaN) among Gaussian ones."""
+    k = draw(st.integers(1, 300))
+    n = draw(st.integers(1, 5))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["gaussian", "ties", "specials"]))
+    E = gen.normal(scale=draw(st.sampled_from([0.1, 3.0, 200.0])), size=(k, n))
+    if kind == "ties":
+        E = np.round(E) * 0.5
+    elif kind == "specials":
+        picks = gen.random((k, n)) < 0.3
+        E[picks] = gen.choice(np.array(SPECIAL_VALUES), size=picks.sum())
+    return E
+
+
+def _bits(a):
+    """Bytes of ``a`` with NaN counted as equal whatever its payload."""
+    a = np.array(a, dtype=np.float64)
+    nan = np.isnan(a)
+    a[nan] = 0.0
+    return nan.tobytes() + a.tobytes()
+
+
+class TestClassMajorSoftmax:
+    """The kernel's (classes, rows) softmax against numpy's row sums and
+    softmax_with_temperature on the transpose."""
+
+    @given(class_major_arrays())
+    @example(np.full((8, 2), -0.0))
+    @example(np.full((129, 1), -0.0))
+    @example(1.0 / np.arange(1.0, 265.0).reshape(132, 2))
+    def test_column_sums_equal_numpy_row_sums(self, E):
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = np.add.reduce(np.ascontiguousarray(E.T), axis=1)
+            assert _bits(_column_sums(E)) == _bits(expected)
+
+    @given(class_major_arrays(), st.sampled_from([1.0, 1.5, 2.0, 3.7]))
+    def test_softmax_equals_the_row_softmax(self, E, temperature):
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            # The former kernel's logits were C-ordered; numpy sums the rows
+            # of a strided transpose in another order.
+            rows = np.ascontiguousarray(E.T)
+            expected = softmax_with_temperature(rows, temperature).T
+            assert _bits(_softmax_columns(E.copy(), temperature)) == _bits(expected)
 
 
 class _MeanMemory:
@@ -536,6 +634,21 @@ class TestLossConfigValidation:
     def test_rejects_bad_scope(self):
         with pytest.raises(ValidationError):
             LossConfig(distill_scope="sometimes")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("learning_rate", math.nan),
+            ("learning_rate", math.inf),
+            ("learning_rate", 0.0),
+            ("temperature", math.inf),
+            ("temperature", math.nan),
+            ("beta", math.nan),
+        ],
+    )
+    def test_names_the_field_it_rejects(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            LossConfig(**{field: value})
 
 
 class TestTrainingBatchValidation:
