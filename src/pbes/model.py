@@ -361,8 +361,8 @@ def train_task(
     Inputs are validated once: ``data`` was checked when it was built, and
     :func:`_steps` builds every slice's fixed inputs before the first step,
     as :func:`loss_gradient` does for its one slice. Each step then runs
-    :func:`_gradient` on raw arrays and updates ``W`` and ``b`` in place; only
-    the finiteness of the updated parameters is checked per step.
+    :func:`_gradient` on raw arrays and updates ``W`` and ``b`` in place, and
+    the finiteness of the parameters is checked once, after the last step.
     """
     model = _extend_for_new_classes(model, data.class_ids)
     if config.epochs == 0:
@@ -380,11 +380,13 @@ def train_task(
                 W -= grad_w
                 grad_b *= rate
                 b -= grad_b
-                if not (np.isfinite(W).all() and np.isfinite(b).all()):
-                    raise NumericalError(
-                        "training diverged to non-finite parameters; "
-                        "lower the learning rate"
-                    )
+    # A non-finite entry stays non-finite under ``W -= rate * grad``: inf - x
+    # is inf or NaN and NaN stays NaN. So one check after the last step
+    # raises exactly when a check after every step would.
+    if not (np.isfinite(W).all() and np.isfinite(b).all()):
+        raise NumericalError(
+            "training diverged to non-finite parameters; lower the learning rate"
+        )
     return SoftmaxModel(W, b, data.class_ids)
 
 

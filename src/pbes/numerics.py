@@ -32,6 +32,8 @@ RANK_TOLERANCE = 1e-10
 
 # Terms per block summed at once by _exact_sums; bounds its temporaries.
 _BLOCK_TERMS = 1 << 14
+# mean_vector's blocks are whole columns; larger blocks mean fewer passes.
+_MEAN_BLOCK_TERMS = 1 << 16
 
 # Slices per centred value that covariance multiplies with BLAS. A row with
 # a value that needs more, one nonzero yet about 2^(8w) below its column's
@@ -186,9 +188,11 @@ def mean_vector(X) -> np.ndarray:
     """
     A = as_data_matrix(X)
     n, d = A.shape
-    step = max(1, _BLOCK_TERMS // n)
+    step = max(1, _MEAN_BLOCK_TERMS // n)
     try:
-        sums = [_exact_sums(A[:, a : a + step].copy()) for a in range(0, d, step)]
+        # Column-major copies, so each column's reductions run over contiguous
+        # memory rather than over rows as narrow as the block.
+        sums = [_exact_sums(np.array(A[:, a : a + step], order="F")) for a in range(0, d, step)]
     except OverflowError as exc:
         raise NumericalError("column sums of the data overflow float64") from exc
     return np.concatenate(sums) / n

@@ -5,7 +5,9 @@ the exact ``Fraction`` dot product of the centred columns rounded once,
 herding and median selection must pick the rows the per-row loops pick, and
 every input a reference rejects must raise the same NumericalError text. The
 families are tie-heavy (grids, duplicated rows, one-hot) or extreme (wide
-exponents, subnormal, near overflow, large offsets).
+exponents, subnormal, near overflow, large offsets). The screened herding and
+median kernels run on every case, whatever its size, and at embedding width
+they must equal the vectorized loops that evaluate every row.
 """
 
 import numpy as np
@@ -20,9 +22,24 @@ from pbes.numerics import (
     principal_directions,
     random_unit_directions,
 )
-from pbes.sampling import _median_select, direction_count, herding_sample
+from pbes.sampling import (
+    _herding,
+    _median_select,
+    _screened_medians,
+    _sorted_medians,
+    direction_count,
+    herding_sample,
+    pbes_sample,
+    randp_sample,
+)
 
-from oracles import covariance_exact_dot, herding_loop, mean_fsum_loop, median_select_loop
+from oracles import (
+    covariance_exact_dot,
+    herding_loop,
+    herding_vectorized,
+    mean_fsum_loop,
+    median_select_loop,
+)
 
 FAMILIES = (
     "gaussian",
@@ -124,27 +141,63 @@ def test_covariance_is_exactly_invariant_under_row_permutation(case, rnd):
     assert outcome(covariance, X[perm]) == outcome(covariance, X)
 
 
+def _basis(X, passes, m, random_directions):
+    if random_directions:
+        return random_unit_directions(X.shape[1], passes, RngState(m)).directions
+    return principal_directions(X, passes).directions
+
+
+# Squared distances 6.25 and 6.25 + 2^-50, one ulp apart, both with square
+# root 2.5: row 0 (the larger square) and row 1 tie, and row 0 wins. Rows 2
+# and 3 mirror them, so the mean is exactly 0.
+_ULP_TIE = np.array([[-2.5, -(2.0**-25)], [-2.5, 0.0], [2.5, 2.0**-25], [2.5, 0.0]])
+
+
+def _outlier_overflow(n, d, m):
+    """Gaussian rows and, in row 0, an outlier whose projection on the first
+    random direction of ``RngState(m)`` overflows while no product does."""
+    X = np.random.default_rng(7).normal(size=(n, d))
+    v = random_unit_directions(d, direction_count(n, m), RngState(m)).directions[0]
+    X[0] = 1.5e308 * np.sign(v)
+    return X, m
+
+
 @given(cases())
 @example((np.ones((5, 3)), 4))
 @example((np.array([[1e200, -1e200], [-1e200, 1e200], [1e200, 1e200]]), 2))
+@example((np.array([[0.0], [3e154], [-3e154]]), 3))  # step 1 is finite, step 2 overflows
+@example((_ULP_TIE, 2))
 @settings(max_examples=200)
 def test_herding_picks_the_rows_of_the_norm_loop(case):
     X, m = case
-    got = outcome(lambda: list(herding_sample(X, m).ordered_indices))
-    assert got == outcome(herding_loop, X, m)
+    expected = outcome(herding_loop, X, m)
+    assert outcome(lambda: list(herding_sample(X, m).ordered_indices)) == expected
+    assert outcome(_herding, X, m, True) == expected
+
+
+def test_herding_ties_on_rounded_distances_not_on_their_squares():
+    squares = np.vecdot(_ULP_TIE, _ULP_TIE)
+    assert squares[0] == np.nextafter(squares[1], np.inf)
+    assert np.sqrt(squares[0]) == np.sqrt(squares[1])
+    assert _herding(_ULP_TIE, 1, True) == herding_loop(_ULP_TIE, 1) == [0]
+
+
+# Equal rows that the GEMM V @ A.T rounds apart, with the median among them
+# (this numpy/OpenBLAS build): the screen must widen by its bound.
+_GEMM_SPLIT_TIES = np.random.default_rng(6).normal(size=(2, 8))[[0, 0, 1, 0, 1, 1, 0]]
 
 
 @given(cases(), st.booleans())
 @example((np.ones((6, 2)), 5), False)
+@example(_outlier_overflow(9, 3, 4), True)
+@example((_GEMM_SPLIT_TIES, 1), False)
+@example((_GEMM_SPLIT_TIES, 1), True)
 @settings(max_examples=200)
 def test_median_select_picks_the_rows_of_the_sorted_loop(case, random_directions):
     X, m = case
     passes = direction_count(X.shape[0], m)
     try:
-        if random_directions:
-            directions = random_unit_directions(X.shape[1], passes, RngState(m)).directions
-        else:
-            directions = principal_directions(X, passes).directions
+        directions = _basis(X, passes, m, random_directions)
     except NumericalError:
         return  # no basis to select on; the covariance test covers the error
     with np.errstate(over="ignore", invalid="ignore"):
@@ -154,3 +207,57 @@ def test_median_select_picks_the_rows_of_the_sorted_loop(case, random_directions
         assert got == ("value", median_select_loop(X, directions, passes, m))
     else:
         assert got == ("error", "projections of the data on the directions overflow float64")
+    assert outcome(_screened_medians, X, directions, passes, m) == got
+
+
+def test_an_outlier_projection_overflow_raises_though_no_median_needs_it():
+    # 601 x 8 is above the screening size. Row 0, set against the signs of
+    # the first direction, is the largest projection and the only one that
+    # overflows.
+    X, m = _outlier_overflow(601, 8, 20)
+    text = "projections of the data on the directions overflow float64"
+    passes = direction_count(X.shape[0], m)
+    random = random_unit_directions(8, passes, RngState(m)).directions
+    assert outcome(randp_sample, X, m, RngState(m)) == ("error", text)
+    # pbes rejects such a row before projecting: its centred value is beyond
+    # the range whose square the covariance can hold.
+    assert outcome(pbes_sample, X, m) == ("error", "covariance of the data overflows float64")
+    principal = principal_directions(X[1:], passes).directions
+    for directions in (random, principal):
+        X[0] = 1.5e308 * np.sign(directions[0])
+        assert outcome(_median_select, X, directions, passes, m) == ("error", text)
+        assert outcome(_sorted_medians, X, directions, passes, m) == ("error", text)
+
+
+WIDE_FAMILIES = ("duplicated_rows", "quarter_grid", "offset_columns", "subnormal", "near_overflow")
+
+
+@st.composite
+def wide_cases(draw):
+    family = draw(st.sampled_from(WIDE_FAMILIES))
+    n = draw(st.integers(1, 400))
+    d = draw(st.integers(1, 128))
+    m = draw(st.integers(1, n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return extreme_rows(family, n, d, np.random.default_rng(seed)), m
+
+
+@given(wide_cases(), st.booleans())
+@example((extreme_rows("duplicated_rows", 400, 128, np.random.default_rng(1)), 40), False)
+@example((extreme_rows("quarter_grid", 300, 64, np.random.default_rng(2)), 60), True)
+@settings(max_examples=25)
+def test_screened_selection_equals_the_vectorized_loops_at_embedding_width(
+    case, random_directions
+):
+    X, m = case
+    expected = outcome(herding_vectorized, X, m)
+    assert outcome(lambda: list(herding_sample(X, m).ordered_indices)) == expected
+    assert outcome(_herding, X, m, True) == expected
+    passes = direction_count(X.shape[0], m)
+    try:
+        directions = _basis(X, passes, m, random_directions)
+    except NumericalError:
+        return
+    expected = outcome(_sorted_medians, X, directions, passes, m)
+    assert outcome(_median_select, X, directions, passes, m) == expected
+    assert outcome(_screened_medians, X, directions, passes, m) == expected

@@ -490,6 +490,23 @@ class TestTrainTaskMatchesReference:
                 with pytest.raises(NumericalError):
                     train(teacher, teacher, batch, config)
 
+    def test_divergence_in_the_first_of_many_epochs_matches_the_reference(self):
+        # Mini-batches of 4 over 20 rows: the parameters leave the float64
+        # range within epoch 1, and the later steps run on inf and NaN, with
+        # no warning, until the one check after the last step.
+        gen = np.random.default_rng(12)
+        ids = (0, 1, 2)
+        batch = TrainingBatch(_on_grid(gen.normal(size=(20, 3))), np.arange(20) % 3, ids)
+        teacher = SoftmaxModel(np.ones((2, 3)), np.zeros(2), ids[:2])
+        first = LossConfig(learning_rate=1e308, epochs=1, batch_size=4)
+        assert _outcome(train_task_reference, teacher, teacher, batch, first) is NumericalError
+        config = replace(first, epochs=4)
+        with pytest.raises(NumericalError, match="^training diverged to non-finite parameters"):
+            train_task(teacher, teacher, batch, config)
+        assert _outcome(train_task, teacher, teacher, batch, config) == _outcome(
+            train_task_reference, teacher, teacher, batch, config
+        )
+
     def test_zero_row_batch_raises_in_all(self):
         ids = (0, 1)
         batch = TrainingBatch(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), ids)
