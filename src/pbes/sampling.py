@@ -70,6 +70,16 @@ class ExemplarSelection:
         return len(self.ordered_indices)
 
 
+def _norm_bound(square, d: int, grow: float):
+    """An upper bound on the norm whose computed square of d terms is ``square``.
+
+    ``grow`` covers the relative rounding of the square and of this bound, and
+    ``d * _TINY`` the squares that underflow, so the bound holds for rows whose
+    entries are normal floats but whose squares are 0. Elementwise on arrays.
+    """
+    return np.sqrt(square * grow + d * _TINY) * grow
+
+
 def _check_request(m: int, n: int) -> None:
     if not 1 <= m <= n:
         raise ValidationError(f"need 1 <= m <= n, got m={m}, n={n}")
@@ -140,20 +150,21 @@ def _screened_medians(
     summation order and with or without FMA, plus 2^-1075 per product that
     underflows. ``e`` bounds twice that for every row of a direction through
     Cauchy-Schwarz, ``sum_j |v_j a_j| <= |v| |a|``, so it is at least the
-    per-row bound from ``|V| @ |A|.T`` and needs no second GEMM. With g_(r)
-    the r-th smallest entry of G over the live rows, the middle ranks r0 and
-    r1 have projections within [g_(r0) - e/2, g_(r1) + e/2], so only rows
-    with G in [g_(r0) - e, g_(r1) + e] can hold them and every row below
-    that range precedes them. The formula orders those few rows by (value,
-    row). A direction whose bound leaves room for an overflowing product or
-    partial sum gets its projections in full, checked as the direct loop
-    checks them.
+    per-row bound from ``|V| @ |A|.T`` and needs no second GEMM; |v| and |a|
+    come from :func:`_norm_bound`, which holds when the squares underflow
+    but the products and projections do not. With g_(r) the r-th smallest
+    entry of G over the live rows, the middle ranks r0 and r1 have
+    projections within [g_(r0) - e/2, g_(r1) + e/2], so only rows with G in
+    [g_(r0) - e, g_(r1) + e] can hold them and every row below that range
+    precedes them. The formula orders those few rows by (value, row). A
+    direction whose bound leaves room for an overflowing product or partial
+    sum gets its projections in full, checked as the direct loop checks them.
     """
     n, d = A.shape
     grow = 1.0 + (d + 10) * _U
     with np.errstate(over="ignore", invalid="ignore"):
-        top = math.sqrt(float(np.vecdot(A, A).max()) * grow) * grow  # >= |a| for every row
-        reach = np.sqrt(np.vecdot(directions, directions) * grow) * grow * top  # >= sum |v_j a_j|
+        top = float(_norm_bound(np.vecdot(A, A).max(), d, grow))  # >= |a| for every row
+        reach = _norm_bound(np.vecdot(directions, directions), d, grow) * top  # >= sum |v_j a_j|
         G = directions @ A.T
         e = 2.0 * ((2 * d + 24) * _U * reach + d * _TINY)
     for i in np.flatnonzero(~(reach < 2.0**1020)):  # also true for inf
@@ -303,8 +314,7 @@ class _HerdingScreen:
         self.Q = np.empty(n)
 
     def _norm(self, square: float) -> float:
-        """An upper bound on the norm whose computed square is ``square``."""
-        return math.sqrt(square * self.grow + self.d * _TINY) * self.grow
+        return float(_norm_bound(square, self.d, self.grow))
 
     def remove(self, row: int) -> None:
         self.ny[row] = np.inf

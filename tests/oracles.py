@@ -113,29 +113,6 @@ def herding_loop(X, m):
     return chosen
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def herding_vectorized(X, m):
-    """Herding with every live row's distance per step (the former vectorized loop)."""
-    A = np.asarray(X, dtype=float)
-    mu = mean_fsum_loop(A)
-    chosen = []
-    live = np.arange(A.shape[0])
-    running = np.zeros(A.shape[1])
-    for step in range(1, m + 1):
-        D = A[live]
-        D += running
-        D /= step
-        np.subtract(mu, D, out=D)
-        dist = np.sqrt(np.vecdot(D, D))
-        best = int(np.argmin(dist))
-        if not dist[best] < np.inf:
-            raise NumericalError(f"herding step {step}: every distance overflows float64")
-        chosen.append(int(live[best]))
-        running += A[live[best]]
-        live = np.delete(live, best)
-    return chosen
-
-
 def median_select_loop(A, directions, passes, m):
     """The median loop with Python's sorted and list removal (the former loop).
 

@@ -36,7 +36,6 @@ from pbes.sampling import (
 from oracles import (
     covariance_exact_dot,
     herding_loop,
-    herding_vectorized,
     mean_fsum_loop,
     median_select_loop,
 )
@@ -52,6 +51,7 @@ FAMILIES = (
     "duplicated_rows",
     "offset_columns",
     "one_hot",
+    "tiny",
 )
 
 
@@ -77,6 +77,8 @@ def extreme_rows(family, n, d, gen):
         return base[gen.integers(0, base.shape[0], size=n)]
     if family == "offset_columns":
         return gen.normal(size=(n, d)) + 10.0 ** gen.integers(0, 13, size=d)
+    if family == "tiny":  # normal entries whose squares underflow to 0
+        return gen.normal(size=(n, d)) * 1e-200
     return np.eye(d)[gen.integers(0, d, size=n)]  # one_hot
 
 
@@ -183,7 +185,9 @@ def test_herding_ties_on_rounded_distances_not_on_their_squares():
 
 
 # Equal rows that the GEMM V @ A.T rounds apart, with the median among them
-# (this numpy/OpenBLAS build): the screen must widen by its bound.
+# (this numpy/OpenBLAS build): the screen must widen by its bound. Scaled by
+# 2^-700 the GEMM splits them the same way while every square underflows, so
+# the bound must not shrink with the computed row norms.
 _GEMM_SPLIT_TIES = np.random.default_rng(6).normal(size=(2, 8))[[0, 0, 1, 0, 1, 1, 0]]
 
 
@@ -192,6 +196,7 @@ _GEMM_SPLIT_TIES = np.random.default_rng(6).normal(size=(2, 8))[[0, 0, 1, 0, 1, 
 @example(_outlier_overflow(9, 3, 4), True)
 @example((_GEMM_SPLIT_TIES, 1), False)
 @example((_GEMM_SPLIT_TIES, 1), True)
+@example((_GEMM_SPLIT_TIES * 2.0**-700, 1), True)
 @settings(max_examples=200)
 def test_median_select_picks_the_rows_of_the_sorted_loop(case, random_directions):
     X, m = case
@@ -229,7 +234,14 @@ def test_an_outlier_projection_overflow_raises_though_no_median_needs_it():
         assert outcome(_sorted_medians, X, directions, passes, m) == ("error", text)
 
 
-WIDE_FAMILIES = ("duplicated_rows", "quarter_grid", "offset_columns", "subnormal", "near_overflow")
+WIDE_FAMILIES = (
+    "duplicated_rows",
+    "quarter_grid",
+    "offset_columns",
+    "subnormal",
+    "near_overflow",
+    "tiny",
+)
 
 
 @st.composite
@@ -250,7 +262,7 @@ def test_screened_selection_equals_the_vectorized_loops_at_embedding_width(
     case, random_directions
 ):
     X, m = case
-    expected = outcome(herding_vectorized, X, m)
+    expected = outcome(_herding, X, m, False)
     assert outcome(lambda: list(herding_sample(X, m).ordered_indices)) == expected
     assert outcome(_herding, X, m, True) == expected
     passes = direction_count(X.shape[0], m)
