@@ -7,11 +7,11 @@ The combined objective is ``beta * distill + (1 - beta) * cross_entropy``;
 both terms are sums over the batch, not means, so learning rates couple to
 batch size. Models are immutable values: training returns a new model.
 
-The training kernel works on (classes, rows) arrays, so its softmax reduces
-over contiguous rows. Its bits equal those of the row-major formula: the
-softmax normaliser follows numpy's pairwise row sum, and the BLAS products and
-the bias sum keep the (rows, classes) layout. Like ``eigh``'s, these bits hold
-for one numpy/BLAS build.
+The training kernel folds the bias into its products, ``[W | b]`` times
+``[X | 1]``, and works on (classes, rows) arrays: each softmax reduces down
+columns with numpy's own max and sum, one class after another, and a single
+product gives the weight and bias gradients together. Its bits are its own;
+like ``eigh``'s, they hold for one numpy/BLAS build.
 """
 
 from __future__ import annotations
@@ -142,8 +142,8 @@ class TrainingBatch:
 
 
 def _label_matrix(batch: TrainingBatch) -> np.ndarray:
-    """0/1 rows over ``batch.class_ids``: the targets :func:`_gradient` reads,
-    transposed by :func:`_steps`."""
+    """0/1 rows over ``batch.class_ids``, one per label; :func:`_steps` stores
+    them transposed, one row per class, as :func:`_gradient` reads them."""
     return (batch.labels[:, None] == np.asarray(batch.class_ids)).astype(np.float64)
 
 
@@ -176,47 +176,14 @@ def _distill_rows(batch: TrainingBatch, config: LossConfig) -> np.ndarray:
     return np.ones(len(batch), dtype=bool)
 
 
-def _column_sums(s: np.ndarray) -> np.ndarray:
-    """Sum down each column of a (classes, rows) array.
-
-    The bits are those of numpy's sum along each row of the transpose, a
-    pairwise sum started from 0.0: fewer than 8 terms in order; up to 128
-    terms in 8 interleaved accumulators, combined as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` before the remainder; above 128
-    two halves, the first one's length rounded down to a multiple of 8.
-    """
-    k = s.shape[0]
-    if k < 8:
-        return np.add.reduce(s, axis=0)
-    if k > 128:
-        half = k // 2 - k // 2 % 8
-        return _column_sums(s[:half]) + _column_sums(s[half:])
-    acc = s[:8] if k < 16 else s[:8].copy()
-    whole = k - k % 8
-    for start in range(8, whole, 8):
-        acc += s[start : start + 8]
-    pairs = acc[0::2] + acc[1::2]
-    total = pairs[0] + pairs[1]
-    total += pairs[2] + pairs[3]
-    for row in s[whole:]:
-        total += row
-    total += 0.0
-    return total
-
-
-def _softmax_columns(s: np.ndarray, temperature: float) -> np.ndarray:
-    """Temperature softmax down each column of ``s``, computed in place.
-
-    Bit for bit :func:`softmax_with_temperature` on a C-ordered copy of
-    ``s.T``, transposed back: a max and the elementwise steps do not depend on
-    the layout, and :func:`_column_sums` keeps the order of numpy's row sum.
-    """
+def _softmax_columns(z: np.ndarray, temperature: float) -> np.ndarray:
+    """Temperature softmax down each column of ``z``, computed in place."""
     if temperature != 1.0:
-        s /= temperature
-    s -= np.maximum.reduce(s, axis=0)
-    np.exp(s, out=s)
-    s /= _column_sums(s)
-    return s
+        z /= temperature
+    z -= np.maximum.reduce(z, axis=0)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=0)
+    return z
 
 
 def _coefficients(config: LossConfig) -> tuple[float, float, float, float]:
@@ -225,43 +192,36 @@ def _coefficients(config: LossConfig) -> tuple[float, float, float, float]:
     return config.ce_temperature(), config.temperature, config.beta, 1.0 - config.beta
 
 
-def _gradient(X, Yt, W, b, rows, qt, coefficients):
-    """(dW, db) of the combined loss from raw arrays; the one gradient formula.
+def _gradient(Xa, Yt, Wa, rows, qt, coefficients):
+    """Gradient of the combined loss in ``[dW | db]`` form; the one gradient formula.
 
+    ``Xa = [X | 1]`` and ``Wa = [W | b]`` fold the bias into the products.
     Logits, targets and the gradient are (classes, rows) arrays, so each
-    softmax reduces over contiguous rows. ``Yt`` holds the 0/1 labels.
-    ``rows`` selects the distilled rows, as a boolean mask or as a slice when
-    every row is distilled. ``qt`` is the teacher's softened distribution on
-    those rows, or None when there is no teacher (beta is then 0).
+    softmax reduces down columns. ``Yt`` holds the 0/1 labels. ``rows``
+    selects the distilled rows, as a boolean mask or as a slice when every
+    row is distilled. ``qt`` is the teacher's softened distribution on those
+    rows, or None when there is no teacher (beta is then 0).
     """
     ce_temp, temp, beta, keep = coefficients
-    rowwise = X @ W.T
-    if rowwise.size == 0:
+    z = Wa @ Xa.T
+    if z.size == 0:
         raise ValidationError("softmax needs at least one logit")
-    # ``W @ X.T`` would skip the copy, but BLAS rounds it differently for
-    # larger batches.
-    logits = np.add(rowwise.T, b[:, None], out=np.empty(rowwise.shape[::-1]))
     k_old = 0 if qt is None or not qt.shape[1] else qt.shape[0]
     if k_old:
-        p = np.array(logits[:k_old, rows])  # a copy: the next line overwrites logits
-    grad = _softmax_columns(logits, ce_temp)
-    grad -= Yt
-    if qt is not None:
-        grad *= keep
-    if ce_temp != 1.0:
-        grad /= ce_temp
+        p = z[:k_old] / temp  # a new array: the next line overwrites z
+    _softmax_columns(z, ce_temp)
+    z -= Yt
+    scale = (1.0 if qt is None else keep) / ce_temp
+    if scale != 1.0:
+        z *= scale
     if k_old:
-        _softmax_columns(p, temp)
+        # Every column, then the distilled ones: a column picked alone would
+        # be summed in numpy's pairwise order.
+        p = _softmax_columns(p, 1.0)[:, rows]
         p -= qt
-        p /= temp
-        p *= beta
-        # Only the old classes' rows: adding 0.0 to the others could only
-        # turn -0.0 into 0.0, and both sums below start from 0.0.
-        grad[:k_old, rows] += p
-    # The products and the bias sum read the (rows, classes) layout: summing
-    # the classes-first array gives other bits.
-    g = np.ascontiguousarray(grad.T)
-    return g.T @ X, np.add.reduce(g, axis=0)
+        p *= beta / temp
+        z[:k_old, rows] += p
+    return z @ Xa
 
 
 def _steps(
@@ -271,36 +231,38 @@ def _steps(
     config: LossConfig,
     batch_size: int,
 ) -> list[tuple]:
-    """The fixed ``(X, Yt, rows, qt)`` arguments of :func:`_gradient`, one per slice.
+    """The fixed ``(Xa, Yt, rows, qt)`` arguments of :func:`_gradient`, one per slice.
 
     Slices of ``batch_size`` rows (0 means the whole batch) run in order; a
     0-row batch still yields one empty slice, which :func:`_gradient` rejects.
-    The teacher is checked once and its softened distribution computed on
-    each slice's distilled rows, since a frozen teacher never changes. Labels
-    and soft targets are stored transposed, one row per class.
+    Each slice's inputs carry a column of ones, ``Xa = [X | 1]``. The teacher
+    is checked once and its softened distribution computed on each slice's
+    distilled rows, since a frozen teacher never changes. Labels and soft
+    targets are stored transposed, one row per class.
     """
     X = np.asarray(data.inputs, dtype=np.float64)
-    Y = _label_matrix(data)
+    Xa = np.hstack([X, np.ones((X.shape[0], 1))])
+    Yt = _label_matrix(data).T
     n = max(X.shape[0], 1)
     size = batch_size or n
     slices = [slice(start, start + size) for start in range(0, n, size)]
     if teacher is None or teacher.num_classes == 0:
-        return [(X[sl], np.ascontiguousarray(Y[sl].T), None, None) for sl in slices]
+        return [(Xa[sl], np.ascontiguousarray(Yt[:, sl]), None, None) for sl in slices]
     _check_teacher(model, teacher)
     rows = _distill_rows(data, config)
     steps = []
     for sl in slices:
-        X_s, rows_s = X[sl], rows[sl]
+        rows_s = rows[sl]
         q = (
-            softmax_with_temperature(teacher.logits(X_s[rows_s]), config.temperature)
+            softmax_with_temperature(teacher.logits(X[sl][rows_s]), config.temperature)
             if rows_s.any()
             else np.zeros((0, teacher.num_classes))
         )
         # Selecting every row by a slice spares the copies a mask costs.
         steps.append(
             (
-                X_s,
-                np.ascontiguousarray(Y[sl].T),
+                Xa[sl],
+                np.ascontiguousarray(Yt[:, sl]),
                 slice(None) if rows_s.all() else rows_s,
                 np.ascontiguousarray(q.T),
             )
@@ -322,10 +284,10 @@ def loss_gradient(
         raise ValidationError(
             f"label width {len(batch.class_ids)} != model classes {model.num_classes}"
         )
-    [(X, Yt, rows, qt)] = _steps(model, teacher, batch, config, 0)
-    return _gradient(
-        X, Yt, model.weights, model.bias, rows, qt, _coefficients(config)
-    )
+    [(Xa, Yt, rows, qt)] = _steps(model, teacher, batch, config, 0)
+    Wa = np.hstack([model.weights, model.bias[:, None]])
+    g = _gradient(Xa, Yt, Wa, rows, qt, _coefficients(config))
+    return g[:, :-1], g[:, -1]
 
 
 def _extend_for_new_classes(
@@ -361,33 +323,30 @@ def train_task(
     Inputs are validated once: ``data`` was checked when it was built, and
     :func:`_steps` builds every slice's fixed inputs before the first step,
     as :func:`loss_gradient` does for its one slice. Each step then runs
-    :func:`_gradient` on raw arrays and updates ``W`` and ``b`` in place, and
-    the finiteness of the parameters is checked once, after the last step.
+    :func:`_gradient` on raw arrays and updates ``Wa = [W | b]`` in place,
+    and the finiteness of the parameters is checked once, after the last step.
     """
     model = _extend_for_new_classes(model, data.class_ids)
     if config.epochs == 0:
         return model
-    W = model.weights.copy()
-    b = model.bias.copy()
+    Wa = np.hstack([model.weights, model.bias[:, None]])
     coefficients = _coefficients(config)
     rate = config.learning_rate
     with np.errstate(over="ignore", invalid="ignore"):
         steps = _steps(model, teacher, data, config, config.batch_size)
         for _ in range(config.epochs):
-            for X_s, Yt_s, rows_s, qt_s in steps:
-                grad_w, grad_b = _gradient(X_s, Yt_s, W, b, rows_s, qt_s, coefficients)
-                grad_w *= rate
-                W -= grad_w
-                grad_b *= rate
-                b -= grad_b
-    # A non-finite entry stays non-finite under ``W -= rate * grad``: inf - x
+            for Xa, Yt, rows, qt in steps:
+                g = _gradient(Xa, Yt, Wa, rows, qt, coefficients)
+                g *= rate
+                Wa -= g
+    # A non-finite entry stays non-finite under ``Wa -= rate * g``: inf - x
     # is inf or NaN and NaN stays NaN. So one check after the last step
     # raises exactly when a check after every step would.
-    if not (np.isfinite(W).all() and np.isfinite(b).all()):
+    if not np.isfinite(Wa).all():
         raise NumericalError(
             "training diverged to non-finite parameters; lower the learning rate"
         )
-    return SoftmaxModel(W, b, data.class_ids)
+    return SoftmaxModel(Wa[:, :-1].copy(), Wa[:, -1].copy(), data.class_ids)
 
 
 def predict(model: SoftmaxModel, X, mode: str = "argmax", memory=None) -> np.ndarray:

@@ -383,9 +383,34 @@ def finite_difference_gradient(fun, W, b, eps=1e-5):
     return gW, gb
 
 
-def gradient_reference(X, Y, W, b, rows, q, config):
-    """The former training kernel, verbatim: (n, classes) logits, two calls
-    of ``softmax_with_temperature`` and a zero-filled distillation term."""
+def gradient_reference(Xa, Y, Wa, rows, q, config):
+    """The training kernel in row form, as (classes, features + 1) ``[dW | db]``.
+
+    ``Xa = [X | 1]`` and ``Wa = [W | b]``. The logits are the transposed view
+    ``(Wa @ Xa.T).T``, so :func:`softmax_with_temperature` sums each row in
+    the order numpy gives a strided transpose: one class after another, as
+    the kernel's sums down columns run. The teacher-prefix softmax covers
+    every row and the distilled ones are picked from it by the mask.
+    """
+    logits = (Wa @ Xa.T).T
+    ce_temp = config.ce_temperature()
+    keep = 1.0 if q is None else 1.0 - config.beta
+    # Laid out class by class, as the kernel's (classes, rows) array is: BLAS
+    # rounds the final product differently from the row-by-row layout.
+    grad_logits = np.subtract(softmax_with_temperature(logits, ce_temp), Y, order="F")
+    grad_logits *= keep / ce_temp
+    if q is not None and len(q):
+        k_old = q.shape[1]
+        temp = config.temperature
+        p = softmax_with_temperature(logits[:, :k_old], temp)[rows]
+        grad_logits[rows, :k_old] += (p - q) * (config.beta / temp)
+    return grad_logits.T @ Xa
+
+
+def gradient_former(X, Y, W, b, rows, q, config):
+    """The training kernel before the bias was folded into the products,
+    verbatim: (n, classes) logits, two calls of ``softmax_with_temperature``
+    and a zero-filled distillation term. Returns (dW, db)."""
     logits = X @ W.T + b
     ce_temp = config.ce_temperature()
     probs = softmax_with_temperature(logits, ce_temp)
@@ -403,13 +428,10 @@ def gradient_reference(X, Y, W, b, rows, q, config):
     return grad_logits.T @ X, grad_logits.sum(axis=0)
 
 
-def loss_gradient_reference(batch, model, teacher, config):
-    """``pbes.model.loss_gradient`` with its setup written out on the spot.
-
-    Distilled rows are always picked by a boolean mask, never by the slice
-    the library uses when every row is distilled, the labels are encoded by
-    :func:`label_rows`, and the gradient is :func:`gradient_reference`.
-    """
+def _gradient_terms(batch, model, teacher, config):
+    """(X, labels, distilled-row mask, teacher targets) of one gradient, built
+    on the spot: the mask is None without a teacher, the labels come from
+    :func:`label_rows`, and the targets are None without a teacher."""
     if len(batch.class_ids) != model.num_classes:
         raise ValidationError(
             f"label width {len(batch.class_ids)} != model classes {model.num_classes}"
@@ -423,9 +445,27 @@ def loss_gradient_reference(batch, model, teacher, config):
             q = softmax_with_temperature(teacher.logits(X[rows]), config.temperature)
         else:
             q = np.zeros((0, teacher.num_classes))
-    return gradient_reference(
-        X, label_rows(batch), model.weights, model.bias, rows, q, config
-    )
+    return X, label_rows(batch), rows, q
+
+
+def loss_gradient_reference(batch, model, teacher, config):
+    """``pbes.model.loss_gradient`` with its setup written out on the spot.
+
+    Distilled rows are always picked by a boolean mask, never by the slice
+    the library uses when every row is distilled, the labels are encoded by
+    :func:`label_rows`, and the gradient is :func:`gradient_reference`.
+    """
+    X, Y, rows, q = _gradient_terms(batch, model, teacher, config)
+    Xa = np.hstack([X, np.ones((X.shape[0], 1))])
+    Wa = np.hstack([model.weights, model.bias[:, None]])
+    g = gradient_reference(Xa, Y, Wa, rows, q, config)
+    return g[:, :-1], g[:, -1]
+
+
+def loss_gradient_former(batch, model, teacher, config):
+    """(dW, db) of :func:`gradient_former` on the same terms."""
+    X, Y, rows, q = _gradient_terms(batch, model, teacher, config)
+    return gradient_former(X, Y, model.weights, model.bias, rows, q, config)
 
 
 def train_task_reference(model, teacher, data, config):

@@ -11,7 +11,6 @@ from pbes.model import (
     LossConfig,
     SoftmaxModel,
     TrainingBatch,
-    _column_sums,
     _extend_for_new_classes,
     _softmax_columns,
     loss_gradient,
@@ -26,6 +25,7 @@ from oracles import (
     cross_entropy_loss,
     distillation_loss,
     finite_difference_gradient,
+    loss_gradient_former,
     loss_gradient_reference,
     train_task_reference,
 )
@@ -413,23 +413,23 @@ def _mask_versus_slice_problem():
     return model, teacher, batch, config
 
 
-def _fixed_problem(k_old, k_new, n, batch_size=0, distill_scope="all", seed=0):
+def _fixed_problem(k_old, k_new, n, batch_size=0, distill_scope="all", seed=0, d=3):
     """A problem drawn like training_problems()'s, with a teacher whenever
     there are old classes and a mixed exemplar mask."""
     gen = np.random.default_rng(seed)
     ids = tuple(range(k_old + k_new))
     batch = TrainingBatch(
-        _on_grid(gen.normal(scale=1.5, size=(n, 3))),
+        _on_grid(gen.normal(scale=1.5, size=(n, d))),
         gen.integers(0, len(ids), size=n),
         ids,
         exemplar_mask=gen.random(n) < 0.5,
     )
     old_ids = ids[:k_old]
     model = SoftmaxModel(
-        _on_grid(gen.normal(size=(k_old, 3))), _on_grid(gen.normal(size=k_old)), old_ids
+        _on_grid(gen.normal(size=(k_old, d))), _on_grid(gen.normal(size=k_old)), old_ids
     )
     teacher = SoftmaxModel(
-        _on_grid(gen.normal(size=(k_old, 3))), _on_grid(gen.normal(size=k_old)), old_ids
+        _on_grid(gen.normal(size=(k_old, d))), _on_grid(gen.normal(size=k_old)), old_ids
     )
     config = LossConfig(
         temperature=2.0, beta=0.5, learning_rate=0.05, epochs=2,
@@ -446,6 +446,16 @@ FIXED_PROBLEMS = (
     _fixed_problem(8, 2, 25, batch_size=7, distill_scope="exemplars_only", seed=2),
     _fixed_problem(2, 2, 9, batch_size=4, seed=3),
     _fixed_problem(0, 1, 6, seed=4),
+)
+
+# The benchmarks' shapes, d=8 and ten classes, eight of them old: the blob
+# suite's last task, a full batch of 300 rows (above about 180 rows BLAS
+# blocks the products differently); the CLI sweep's mini-batches of 16 rows;
+# one batch of 16 rows.
+BENCHMARK_PROBLEMS = (
+    _fixed_problem(8, 2, 300, seed=5, d=8),
+    _fixed_problem(8, 2, 112, batch_size=16, seed=6, d=8),
+    _fixed_problem(8, 2, 16, seed=7, d=8),
 )
 
 
@@ -467,6 +477,9 @@ class TestTrainTaskMatchesReference:
     @example(FIXED_PROBLEMS[1])
     @example(FIXED_PROBLEMS[2])
     @example(FIXED_PROBLEMS[3])
+    @example(BENCHMARK_PROBLEMS[0])
+    @example(BENCHMARK_PROBLEMS[1])
+    @example(BENCHMARK_PROBLEMS[2])
     def test_bit_identical(self, problem):
         model, teacher, batch, config = problem
         fast = _outcome(train_task, model, teacher, batch, config)
@@ -532,12 +545,72 @@ class TestLossGradientMatchesReference:
     @example(FIXED_PROBLEMS[1])
     @example(FIXED_PROBLEMS[2])
     @example(FIXED_PROBLEMS[3])
+    @example(BENCHMARK_PROBLEMS[0])
+    @example(BENCHMARK_PROBLEMS[1])
+    @example(BENCHMARK_PROBLEMS[2])
     def test_bit_identical(self, problem):
         model, teacher, batch, config = problem
         student = _extend_for_new_classes(model, batch.class_ids)
         fast = loss_gradient(batch, student, teacher, config)
         slow = loss_gradient_reference(batch, student, teacher, config)
         assert [a.tobytes() for a in fast] == [a.tobytes() for a in slow]
+
+
+def _gamma(m):
+    u = 2.0**-53
+    return m * u / (1.0 - m * u)
+
+
+def _former_gap_bound(batch, student, teacher):
+    """Bound on |loss_gradient - the former kernel's| for each of the
+    features and the bias, from the magnitudes of the inputs.
+
+    Either kernel's logit for row i is within gamma(d + 1) of the exact one,
+    relative to the row's |Xa| @ |Wa|.T (the sum of its terms' magnitudes).
+    Dividing by a temperature of at least 1 and subtracting the row maximum
+    add at most 3u of that, so the shifted logits are within eta_i of exact,
+    and each probability within p (e^(2 eta_i) - 1) of exact, plus (k + 8)u
+    for exp, the sum and the divide. The cross-entropy and distillation
+    terms of a gradient-of-logits entry are p - y and p' - q, weighted by
+    (1 - beta)/T_ce and beta/T, which add to at most 1. So |G| <= 1, and with
+    a few more roundings each kernel's G is within E_i = 2(e^(2 eta_i) - 1)
+    + 2(k + 16)u of exact. The final products add gamma(n) sum_i (1 + E_i)
+    |Xa_i| each. The teacher's targets are the same arrays in both kernels.
+    """
+    X = np.asarray(batch.inputs, dtype=np.float64)
+    n, d = X.shape
+    k = student.num_classes
+    Xa = np.abs(np.hstack([X, np.ones((n, 1))]))
+    Wa = np.abs(np.hstack([student.weights, student.bias[:, None]]))
+    # The magnitudes are themselves rounded, by less than gamma(d + 2).
+    terms = (Xa @ Wa.T).max(axis=1) * (1.0 + _gamma(d + 2))
+    eta = (_gamma(d + 1) + 3 * 2.0**-53) * terms
+    E = 2.0 * np.expm1(2.0 * eta) + 2.0 * (k + 16) * 2.0**-53
+    bound = (2.0 * E + 2.0 * _gamma(n) * (1.0 + E)) @ Xa
+    # The bound's own sum is rounded too.
+    return bound * (1.0 + _gamma(n + 2))
+
+
+class TestLossGradientAgreesWithTheFormerKernel:
+    """The kernel folds the bias into the products and sums in its own order,
+    so its bits differ from the former row-major kernel's; the values differ
+    by no more than rounding can explain."""
+
+    @given(training_problems())
+    @example(_mask_versus_slice_problem())
+    @example(FIXED_PROBLEMS[0])
+    @example(FIXED_PROBLEMS[1])
+    @example(BENCHMARK_PROBLEMS[0])
+    @example(BENCHMARK_PROBLEMS[2])
+    def test_within_the_rounding_bound(self, problem):
+        model, teacher, batch, config = problem
+        student = _extend_for_new_classes(model, batch.class_ids)
+        gW, gb = loss_gradient(batch, student, teacher, config)
+        fW, fb = loss_gradient_former(batch, student, teacher, config)
+        assert np.isfinite(gW).all() and np.isfinite(gb).all()
+        bound = _former_gap_bound(batch, student, teacher)
+        assert (np.abs(gW - fW) <= bound[:-1]).all()
+        assert (np.abs(gb - fb) <= bound[-1]).all()
 
 
 SPECIAL_VALUES = (0.0, -0.0, 1.0, -2.5, np.inf, -np.inf, np.nan, 1e300, 5e-324)
@@ -568,26 +641,26 @@ def _bits(a):
     return nan.tobytes() + a.tobytes()
 
 
-class TestClassMajorSoftmax:
-    """The kernel's (classes, rows) softmax against numpy's row sums and
-    softmax_with_temperature on the transpose."""
+class TestNumpyColumnSumOrder:
+    """The kernel's softmax sums a C-ordered (classes, rows) array down its
+    columns; ``tests/oracles.gradient_reference`` sums the rows of its
+    transposed view. Both rest on numpy adding those in one order, one class
+    after another, for every number of classes. A numpy that sums either of
+    them pairwise, as it sums a contiguous row, fails here."""
 
     @given(class_major_arrays())
     @example(np.full((8, 2), -0.0))
     @example(np.full((129, 1), -0.0))
     @example(1.0 / np.arange(1.0, 265.0).reshape(132, 2))
-    def test_column_sums_equal_numpy_row_sums(self, E):
+    @example(1.0 / np.arange(1.0, 901.0).reshape(300, 3))
+    def test_column_sums_equal_the_transposed_row_sums(self, E):
         with np.errstate(invalid="ignore", over="ignore"):
-            expected = np.add.reduce(np.ascontiguousarray(E.T), axis=1)
-            assert _bits(_column_sums(E)) == _bits(expected)
+            assert _bits(np.add.reduce(E, axis=0)) == _bits(E.T.sum(axis=-1))
 
     @given(class_major_arrays(), st.sampled_from([1.0, 1.5, 2.0, 3.7]))
-    def test_softmax_equals_the_row_softmax(self, E, temperature):
+    def test_softmax_equals_the_row_softmax_of_the_transpose(self, E, temperature):
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            # The former kernel's logits were C-ordered; numpy sums the rows
-            # of a strided transpose in another order.
-            rows = np.ascontiguousarray(E.T)
-            expected = softmax_with_temperature(rows, temperature).T
+            expected = softmax_with_temperature(E.T, temperature).T
             assert _bits(_softmax_columns(E.copy(), temperature)) == _bits(expected)
 
 
