@@ -9,13 +9,12 @@ sorted extremes and are never picked.
 
 Herding and the median loops choose rows by a per-row formula: the rounded
 distance ``sqrt(vecdot(D, D))`` and the projection ``(A * v).sum(axis=1)``,
-ties by ascending row. On classes of at least ``_SCREEN_MIN_ENTRIES``
-entries, BLAS products (a GEMV per herding step, one GEMM per median loop)
-with a rigorous error bound only decide which rows the formula must be
-evaluated on: the filter-then-exact scheme of Shewchuk's adaptive predicates
-("Adaptive precision floating-point arithmetic and fast robust geometric
-predicates", DCG 18, 1997). Selections and errors are those of evaluating
-every row. Smaller classes evaluate every row, which is cheaper there.
+ties by ascending row. BLAS products (a GEMV per herding step, one GEMM per
+median loop) with a rigorous error bound only decide which rows the formula
+must be evaluated on: the filter-then-exact scheme of Shewchuk's adaptive
+predicates ("Adaptive precision floating-point arithmetic and fast robust
+geometric predicates", DCG 18, 1997). Selections and errors are those of
+evaluating every row.
 """
 
 from __future__ import annotations
@@ -33,14 +32,6 @@ from .numerics import (
     principal_directions,
     random_unit_directions,
 )
-
-# Classes with at least this many entries (n * d) screen rows with BLAS
-# products before the per-row formulas of herding and median selection run.
-# Below it the screen's fixed numpy calls cost more than they save: with one
-# BLAS thread, screened herding broke even near 576 entries (72 x 8) and the
-# screened median loop between 2,048 and 4,096, by shape (1.2-1.7x slower on
-# 36 x 8, 128 x 8 and 64 x 32 classes, 1.1-2.2x faster at 4,096 entries).
-_SCREEN_MIN_ENTRIES = 4096
 
 _PROJECTION_OVERFLOW = "projections of the data on the directions overflow float64"
 _U = 2.0**-53  # unit roundoff
@@ -108,44 +99,10 @@ def _median_select(
     and appends the middle point, or the lower-then-higher middle pair when
     the remaining count is even. Each projection is the per-row reduction
     ``(A * v).sum(axis=1)``, so equal rows get equal bits and the index rule
-    decides between them. A projection beyond the float64 range raises
-    NumericalError. Classes of at least ``_SCREEN_MIN_ENTRIES`` entries
-    compute that formula only for the rows :func:`_screened_medians` cannot
-    rule out; smaller ones for every row (:func:`_sorted_medians`).
-    """
-    if A.size >= _SCREEN_MIN_ENTRIES:
-        return _screened_medians(A, directions, passes, m)
-    return _sorted_medians(A, directions, passes, m)
+    decides between them; one beyond the float64 range raises NumericalError.
 
-
-def _sorted_medians(
-    A: np.ndarray, directions: np.ndarray, passes: int, m: int
-) -> tuple[list[int], int]:
-    """:func:`_median_select` with every projection computed and sorted."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        projections = [(A * v).sum(axis=1) for v in directions]
-    if not all(np.isfinite(p).all() for p in projections):
-        raise NumericalError(_PROJECTION_OVERFLOW)
-    live = np.ones(A.shape[0], dtype=bool)
-    appended: list[int] = []
-    for i in range(passes):
-        proj = projections[i % len(projections)]
-        remaining = np.flatnonzero(live)
-        ordered = remaining[np.argsort(proj[remaining], kind="stable")]
-        size = len(ordered)
-        picks = ordered[(size - 1) // 2 : size // 2 + 1]  # the middle one or two
-        appended += picks.tolist()
-        live[picks] = False
-    return appended[:m], len(appended)
-
-
-def _screened_medians(
-    A: np.ndarray, directions: np.ndarray, passes: int, m: int
-) -> tuple[list[int], int]:
-    """:func:`_median_select` with BLAS products ruling rows out, bit for bit.
-
-    ``G = V @ A.T`` is one GEMM. Each projection ``p`` of the per-row formula
-    and the matching entry of G sum the same d products, so both lie within
+    One GEMM, ``G = V @ A.T``, rules rows out. A projection and the matching
+    entry of G sum the same d products, so both lie within
     ``gamma_d * sum_j |v_j a_j|`` of the exact dot product, whatever the
     summation order and with or without FMA, plus 2^-1075 per product that
     underflows. ``e`` bounds twice that for every row of a direction through
@@ -158,7 +115,7 @@ def _screened_medians(
     [g_(r0) - e, g_(r1) + e] can hold them and every row below that range
     precedes them. The formula orders those few rows by (value, row). A
     direction whose bound leaves room for an overflowing product or partial
-    sum gets its projections in full, checked as the direct loop checks them.
+    sum gets its projections in full, checked for overflow.
     """
     n, d = A.shape
     grow = 1.0 + (d + 10) * _U
@@ -239,26 +196,25 @@ def herding_sample(X, m: int) -> ExemplarSelection:
     At step k the unselected row minimizing ``fl(sqrt(vecdot(D, D)))`` with
     ``D = mean(X) - (x + sum of already selected) / k`` is taken, without
     replacement, ties by ascending row index. A step where no candidate's
-    distance is finite raises NumericalError. Classes of at least
-    ``_SCREEN_MIN_ENTRIES`` entries evaluate that formula only on the rows
-    :class:`_HerdingScreen` cannot rule out; smaller ones on every live row.
+    distance is finite raises NumericalError. The formula runs only on the
+    rows :class:`_HerdingScreen` cannot rule out.
     """
     A = as_data_matrix(X)
     _check_request(m, A.shape[0])
-    chosen = _herding(A, m, A.size >= _SCREEN_MIN_ENTRIES)
+    chosen = _herding(A, m)
     return ExemplarSelection("herding", tuple(chosen), None)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _herding(A: np.ndarray, m: int, screened: bool) -> list[int]:
-    """The herding loop; ``screened`` evaluates the formula on candidates only."""
+def _herding(A: np.ndarray, m: int) -> list[int]:
+    """The herding loop, evaluating the formula on the screen's candidates."""
     mu = mean_vector(A)
-    screen = _HerdingScreen(A, mu) if screened else None
+    screen = _HerdingScreen(A, mu)
     chosen: list[int] = []
     free = np.ones(A.shape[0], dtype=bool)
     running = np.zeros(A.shape[1])
     for step in range(1, m + 1):
-        rows = None if screen is None else screen.candidates(running, step)
+        rows = screen.candidates(running, step)
         if rows is not None and len(rows) == 1:
             best = int(rows[0])  # its bound keeps its distance finite
         else:
@@ -277,8 +233,7 @@ def _herding(A: np.ndarray, m: int, screened: bool) -> list[int]:
             best = int(rows[j])
         chosen.append(best)
         free[best] = False
-        if screen is not None:
-            screen.remove(best)
+        screen.remove(best)
         running += A[best]
     return chosen
 

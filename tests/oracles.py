@@ -113,6 +113,33 @@ def herding_loop(X, m):
     return chosen
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def herding_every_row(A, m):
+    """Herding with the per-row formula evaluated on every live row at each
+    step: the library's loop without its screen, vectorized over rows."""
+    mu = mean_fsum_loop(A)
+    chosen = []
+    free = np.ones(A.shape[0], dtype=bool)
+    running = np.zeros(A.shape[1])
+    for step in range(1, m + 1):
+        rows = np.flatnonzero(free)
+        # mu - (x + running) / step for every row x, as the per-row formula
+        # rounds it; vecdot is the BLAS ddot np.linalg.norm calls.
+        D = A[rows]
+        D += running
+        D /= step
+        np.subtract(mu, D, out=D)
+        dist = np.sqrt(np.vecdot(D, D))  # inf where a square overflows, never NaN
+        j = int(np.argmin(dist))
+        if not dist[j] < np.inf:
+            raise NumericalError(f"herding step {step}: every distance overflows float64")
+        best = int(rows[j])
+        chosen.append(best)
+        free[best] = False
+        running += A[best]
+    return chosen
+
+
 def median_select_loop(A, directions, passes, m):
     """The median loop with Python's sorted and list removal (the former loop).
 

@@ -5,9 +5,9 @@ the exact ``Fraction`` dot product of the centred columns rounded once,
 herding and median selection must pick the rows the per-row loops pick, and
 every input a reference rejects must raise the same NumericalError text. The
 families are tie-heavy (grids, duplicated rows, one-hot) or extreme (wide
-exponents, subnormal, near overflow, large offsets). The screened herding and
-median kernels run on every case, whatever its size, and at embedding width
-they must equal the vectorized loops that evaluate every row.
+exponents, subnormal, near overflow, large offsets). Herding and median
+selection screen rows on every case, whatever its size; at embedding width
+they must equal herding vectorized over every row and the sorted median loop.
 """
 
 import numpy as np
@@ -25,8 +25,6 @@ from pbes.numerics import (
 from pbes.sampling import (
     _herding,
     _median_select,
-    _screened_medians,
-    _sorted_medians,
     direction_count,
     herding_sample,
     pbes_sample,
@@ -35,6 +33,7 @@ from pbes.sampling import (
 
 from oracles import (
     covariance_exact_dot,
+    herding_every_row,
     herding_loop,
     mean_fsum_loop,
     median_select_loop,
@@ -174,14 +173,24 @@ def test_herding_picks_the_rows_of_the_norm_loop(case):
     X, m = case
     expected = outcome(herding_loop, X, m)
     assert outcome(lambda: list(herding_sample(X, m).ordered_indices)) == expected
-    assert outcome(_herding, X, m, True) == expected
+    assert outcome(_herding, X, m) == expected
 
 
 def test_herding_ties_on_rounded_distances_not_on_their_squares():
     squares = np.vecdot(_ULP_TIE, _ULP_TIE)
     assert squares[0] == np.nextafter(squares[1], np.inf)
     assert np.sqrt(squares[0]) == np.sqrt(squares[1])
-    assert _herding(_ULP_TIE, 1, True) == herding_loop(_ULP_TIE, 1) == [0]
+    assert _herding(_ULP_TIE, 1) == herding_loop(_ULP_TIE, 1) == [0]
+
+
+def sorted_loop_outcome(X, directions, passes, m):
+    """The outcome of the sorted median loop, whose keys order only finite
+    projections: the overflow error when one is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = all(np.isfinite((X * v).sum(axis=1)).all() for v in directions)
+    if not finite:
+        return "error", "projections of the data on the directions overflow float64"
+    return "value", median_select_loop(X, directions, passes, m)
 
 
 # Equal rows that the GEMM V @ A.T rounds apart, with the median among them
@@ -205,20 +214,14 @@ def test_median_select_picks_the_rows_of_the_sorted_loop(case, random_directions
         directions = _basis(X, passes, m, random_directions)
     except NumericalError:
         return  # no basis to select on; the covariance test covers the error
-    with np.errstate(over="ignore", invalid="ignore"):
-        finite = all(np.isfinite((X * v).sum(axis=1)).all() for v in directions)
-    got = outcome(_median_select, X, directions, passes, m)
-    if finite:
-        assert got == ("value", median_select_loop(X, directions, passes, m))
-    else:
-        assert got == ("error", "projections of the data on the directions overflow float64")
-    assert outcome(_screened_medians, X, directions, passes, m) == got
+    expected = sorted_loop_outcome(X, directions, passes, m)
+    assert outcome(_median_select, X, directions, passes, m) == expected
 
 
 def test_an_outlier_projection_overflow_raises_though_no_median_needs_it():
-    # 601 x 8 is above the screening size. Row 0, set against the signs of
-    # the first direction, is the largest projection and the only one that
-    # overflows.
+    # Row 0, set against the signs of the first direction, is the largest
+    # projection and the only one that overflows: the median ranks of 601
+    # rows lie far from it, yet the whole selection must raise.
     X, m = _outlier_overflow(601, 8, 20)
     text = "projections of the data on the directions overflow float64"
     passes = direction_count(X.shape[0], m)
@@ -231,7 +234,6 @@ def test_an_outlier_projection_overflow_raises_though_no_median_needs_it():
     for directions in (random, principal):
         X[0] = 1.5e308 * np.sign(directions[0])
         assert outcome(_median_select, X, directions, passes, m) == ("error", text)
-        assert outcome(_sorted_medians, X, directions, passes, m) == ("error", text)
 
 
 WIDE_FAMILIES = (
@@ -258,18 +260,15 @@ def wide_cases(draw):
 @example((extreme_rows("duplicated_rows", 400, 128, np.random.default_rng(1)), 40), False)
 @example((extreme_rows("quarter_grid", 300, 64, np.random.default_rng(2)), 60), True)
 @settings(max_examples=25)
-def test_screened_selection_equals_the_vectorized_loops_at_embedding_width(
-    case, random_directions
-):
+def test_selection_equals_the_every_row_loops_at_embedding_width(case, random_directions):
     X, m = case
-    expected = outcome(_herding, X, m, False)
+    expected = outcome(herding_every_row, X, m)
     assert outcome(lambda: list(herding_sample(X, m).ordered_indices)) == expected
-    assert outcome(_herding, X, m, True) == expected
+    assert outcome(_herding, X, m) == expected
     passes = direction_count(X.shape[0], m)
     try:
         directions = _basis(X, passes, m, random_directions)
     except NumericalError:
         return
-    expected = outcome(_sorted_medians, X, directions, passes, m)
+    expected = sorted_loop_outcome(X, directions, passes, m)
     assert outcome(_median_select, X, directions, passes, m) == expected
-    assert outcome(_screened_medians, X, directions, passes, m) == expected
