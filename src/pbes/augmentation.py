@@ -18,32 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FileFormatError, ValidationError
-from .numerics import RngState
+from .numerics import RngState, finite_array
 
 
 def as_image(x) -> np.ndarray:
     """Validate a (channels, height, width) image; float dtype is preserved."""
     arr = np.asarray(x)
-    if arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(np.float64)
-    if arr.ndim != 3:
-        raise ValidationError(f"image must be 3-D (c, h, w), got shape {arr.shape}")
-    if min(arr.shape) < 1:
-        raise ValidationError(f"image axes must be >= 1, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError("image contains non-finite values")
-    return arr
+    keep = arr.dtype in (np.float32, np.float64)
+    return finite_array(arr, 3, "image", arr.dtype if keep else np.float64)
 
 
 def as_saliency(s) -> np.ndarray:
     """Validate an (h, w) saliency map of finite non-negative weights."""
-    arr = np.asarray(s, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValidationError(f"saliency map must be 2-D, got shape {arr.shape}")
-    if min(arr.shape) < 1:
-        raise ValidationError(f"saliency axes must be >= 1, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError("saliency map contains non-finite values")
+    arr = finite_array(s, 2, "saliency map")
     if (arr < 0).any():
         raise ValidationError("saliency weights must be non-negative")
     return arr

@@ -30,7 +30,7 @@ from .memory import RehearsalMemory, rebalance_memory
 from .metrics import MetricsRow, evaluate, format_metrics_rows
 from .model import LossConfig, SoftmaxModel, TrainingBatch, train_task
 from .numerics import RngState
-from .sampling import SAMPLER_NAMES, sample
+from .sampling import check_sampler, sample
 from .stream import SyntheticStreamSpec, TaskStream, generate_synthetic_stream, read_stream
 
 EXPERIMENT_MODES = ("finetune", "method", "upperbound")
@@ -63,13 +63,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in EXPERIMENT_MODES:
             raise ValidationError(f"unknown experiment mode {self.mode!r}")
-        if self.sampler not in SAMPLER_NAMES:
-            raise ValidationError(f"unknown sampler {self.sampler!r}")
-        if self.randp_pool is not None:
-            if self.sampler != "randp":
-                raise ValidationError("randp_pool only applies to the randp sampler")
-            if self.randp_pool < 1:
-                raise ValidationError("randp_pool must be >= 1")
+        check_sampler(self.sampler, self.randp_pool)
         if self.classifier not in ("argmax", "ncm"):
             raise ValidationError(f"unknown classifier mode {self.classifier!r}")
         if self.memory_budget < 0:
@@ -118,6 +112,11 @@ def _augment_task(train, class_ids, settings: AugmentSettings, rng: RngState):
 def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
     """Execute the full train/select/rebalance/evaluate loop over the stream."""
     stream = load_stream(config)
+    if config.augment.enabled:  # each row is cut as a 1 x dims image
+        for name, limit in (("region_height", 1), ("region_width", stream.dims)):
+            size = getattr(config.augment, name) or 1
+            if size > limit:
+                raise ValidationError(f"augmentation.{name} {size} exceeds a 1 x {stream.dims} row")
     model = SoftmaxModel.empty(stream.dims)
     memory = RehearsalMemory()
     rows: list[MetricsRow] = []

@@ -186,27 +186,30 @@ def _softmax_columns(z: np.ndarray, temperature: float) -> np.ndarray:
     return z
 
 
-def _coefficients(config: LossConfig) -> tuple[float, float, float, float]:
-    """The cross-entropy temperature, the distillation temperature, beta and
+def _coefficients(config: LossConfig) -> tuple[float, float, float]:
+    """The cross-entropy temperature, the distillation temperature and
     1 - beta, which :func:`_gradient` reads on every step."""
-    return config.ce_temperature(), config.temperature, config.beta, 1.0 - config.beta
+    return config.ce_temperature(), config.temperature, 1.0 - config.beta
 
 
-def _gradient(Xa, Yt, Wa, rows, qt, coefficients):
+def _gradient(Xa, Yt, Wa, qt, weight, coefficients):
     """Gradient of the combined loss in ``[dW | db]`` form; the one gradient formula.
 
     ``Xa = [X | 1]`` and ``Wa = [W | b]`` fold the bias into the products.
     Logits, targets and the gradient are (classes, rows) arrays, so each
-    softmax reduces down columns. ``Yt`` holds the 0/1 labels. ``rows``
-    selects the distilled rows, as a boolean mask or as a slice when every
-    row is distilled. ``qt`` is the teacher's softened distribution on those
-    rows, or None when there is no teacher (beta is then 0).
+    softmax reduces down columns. ``Yt`` holds the 0/1 labels. ``qt`` is the
+    teacher's softened distribution, 0 in the columns of rows that are not
+    distilled, or None when there is no teacher (beta is then 0); it has zero
+    height when no row of the slice is distilled. ``weight`` is beta / T on
+    distilled rows and 0 on the others, where the term adds ``+0.0``: their
+    entries keep their bits, but for a ``-0.0`` (scale 0 at beta 1), whose
+    sign the final product drops anyway, as its sums start from ``+0.0``.
     """
-    ce_temp, temp, beta, keep = coefficients
+    ce_temp, temp, keep = coefficients
     z = Wa @ Xa.T
     if z.size == 0:
         raise ValidationError("softmax needs at least one logit")
-    k_old = 0 if qt is None or not qt.shape[1] else qt.shape[0]
+    k_old = 0 if qt is None else qt.shape[0]
     if k_old:
         p = z[:k_old] / temp  # a new array: the next line overwrites z
     _softmax_columns(z, ce_temp)
@@ -215,12 +218,10 @@ def _gradient(Xa, Yt, Wa, rows, qt, coefficients):
     if scale != 1.0:
         z *= scale
     if k_old:
-        # Every column, then the distilled ones: a column picked alone would
-        # be summed in numpy's pairwise order.
-        p = _softmax_columns(p, 1.0)[:, rows]
+        p = _softmax_columns(p, 1.0)
         p -= qt
-        p *= beta / temp
-        z[:k_old, rows] += p
+        p *= weight
+        z[:k_old] += p
     return z @ Xa
 
 
@@ -231,7 +232,7 @@ def _steps(
     config: LossConfig,
     batch_size: int,
 ) -> list[tuple]:
-    """The fixed ``(Xa, Yt, rows, qt)`` arguments of :func:`_gradient`, one per slice.
+    """The fixed ``(Xa, Yt, qt, weight)`` arguments of :func:`_gradient`, one per slice.
 
     Slices of ``batch_size`` rows (0 means the whole batch) run in order; a
     0-row batch still yields one empty slice, which :func:`_gradient` rejects.
@@ -250,23 +251,15 @@ def _steps(
         return [(Xa[sl], np.ascontiguousarray(Yt[:, sl]), None, None) for sl in slices]
     _check_teacher(model, teacher)
     rows = _distill_rows(data, config)
+    weight = np.where(rows, config.beta / config.temperature, 0.0)
     steps = []
     for sl in slices:
         rows_s = rows[sl]
-        q = (
-            softmax_with_temperature(teacher.logits(X[sl][rows_s]), config.temperature)
-            if rows_s.any()
-            else np.zeros((0, teacher.num_classes))
-        )
-        # Selecting every row by a slice spares the copies a mask costs.
-        steps.append(
-            (
-                Xa[sl],
-                np.ascontiguousarray(Yt[:, sl]),
-                slice(None) if rows_s.all() else rows_s,
-                np.ascontiguousarray(q.T),
-            )
-        )
+        qt = np.zeros((teacher.num_classes if rows_s.any() else 0, len(rows_s)))
+        if len(qt):
+            q = softmax_with_temperature(teacher.logits(X[sl][rows_s]), config.temperature)
+            qt[:, rows_s] = q.T
+        steps.append((Xa[sl], np.ascontiguousarray(Yt[:, sl]), qt, weight[sl]))
     return steps
 
 
@@ -284,9 +277,9 @@ def loss_gradient(
         raise ValidationError(
             f"label width {len(batch.class_ids)} != model classes {model.num_classes}"
         )
-    [(Xa, Yt, rows, qt)] = _steps(model, teacher, batch, config, 0)
+    [(Xa, Yt, qt, weight)] = _steps(model, teacher, batch, config, 0)
     Wa = np.hstack([model.weights, model.bias[:, None]])
-    g = _gradient(Xa, Yt, Wa, rows, qt, _coefficients(config))
+    g = _gradient(Xa, Yt, Wa, qt, weight, _coefficients(config))
     return g[:, :-1], g[:, -1]
 
 
@@ -335,8 +328,8 @@ def train_task(
     with np.errstate(over="ignore", invalid="ignore"):
         steps = _steps(model, teacher, data, config, config.batch_size)
         for _ in range(config.epochs):
-            for Xa, Yt, rows, qt in steps:
-                g = _gradient(Xa, Yt, Wa, rows, qt, coefficients)
+            for Xa, Yt, qt, weight in steps:
+                g = _gradient(Xa, Yt, Wa, qt, weight, coefficients)
                 g *= rate
                 Wa -= g
     # A non-finite entry stays non-finite under ``Wa -= rate * g``: inf - x

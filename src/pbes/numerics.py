@@ -42,17 +42,21 @@ _MEAN_BLOCK_TERMS = 1 << 16
 _MAX_SLICES = 8
 
 
+def finite_array(x, ndim: int, what: str, dtype=np.float64) -> np.ndarray:
+    """x as a finite ``dtype`` array of rank ``ndim`` with no empty axis; errors name ``what``."""
+    A = np.asarray(x, dtype=dtype)
+    if A.ndim != ndim:
+        raise ValidationError(f"{what} must be {ndim}-D, got shape {A.shape}")
+    if min(A.shape) < 1:
+        raise ValidationError(f"{what} axes must be >= 1, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValidationError(f"{what} of shape {A.shape} contains non-finite values")
+    return A
+
+
 def as_data_matrix(X) -> np.ndarray:
     """Validate and return X as an n x d float64 matrix (n, d >= 1, finite)."""
-    A = np.asarray(X, dtype=np.float64)
-    if A.ndim != 2:
-        raise ValidationError(f"data matrix must be 2-D, got shape {A.shape}")
-    n, d = A.shape
-    if n < 1 or d < 1:
-        raise ValidationError(f"data matrix must be at least 1x1, got {n}x{d}")
-    if not np.isfinite(A).all():
-        raise ValidationError("data matrix contains non-finite values")
-    return A
+    return finite_array(X, 2, "data matrix")
 
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
@@ -91,8 +95,9 @@ class DirectionBasis:
 
     ``source`` is "pca" for a plain principal basis, "random" for seeded
     isotropic draws, and "fallback" when the requested direction count
-    exceeded the numerical rank and informative directions were cycled (or
-    canonical axes used for rank-0 input).
+    exceeded the numerical rank: the basis then holds only the informative
+    directions (canonical axes for rank-0 input), which the median loop
+    cycles.
     """
 
     directions: np.ndarray  # (k, d), unit rows, sign-normalized
@@ -319,12 +324,11 @@ def covariance(X) -> np.ndarray:
 
 
 def principal_directions(X, p: int) -> DirectionBasis:
-    """First p principal directions of X, eigenvalue-descending, sign-normalized.
+    """First min(p, rank) principal directions of X, eigenvalue-descending, sign-normalized.
 
-    When p exceeds the numerical rank r, the informative directions are cycled
-    (direction i copies direction ((i-1) mod r)+1, 1-based) and the basis is
-    flagged fallback; rank-0 input falls back to canonical axis vectors, so a
-    caller can always request the direction count its selection loop needs.
+    When p exceeds the numerical rank the basis holds only the informative
+    directions and is flagged fallback; the median loop cycles them. Rank-0
+    input gives the first min(p, d) canonical axes, also flagged fallback.
     The eigenpairs come from LAPACK's symmetric solver (``np.linalg.eigh``);
     its failure raises NumericalError.
     """
@@ -341,28 +345,13 @@ def principal_directions(X, p: int) -> DirectionBasis:
     eigvecs = eigvecs[:, order]
     max_eig = float(eigvals[0])
     rank = 0 if max_eig <= 0.0 else int(np.sum(eigvals >= RANK_TOLERANCE * max_eig))
-
-    dirs: list[np.ndarray] = []
-    vals: list[float] = []
-    for i in range(min(p, rank)):
-        v = eigvecs[:, i]
-        dirs.append(sign_normalize(v / np.linalg.norm(v)))
-        vals.append(float(eigvals[i]))
+    source = "pca" if p <= rank else "fallback"
     if rank == 0:
-        for i in range(p):
-            axis = np.zeros(d)
-            axis[i % d] = 1.0
-            dirs.append(axis)
-            vals.append(0.0)
-        source = "fallback"
-    elif p > rank:
-        for i in range(rank, p):
-            dirs.append(dirs[i % rank].copy())
-            vals.append(vals[i % rank])
-        source = "fallback"
-    else:
-        source = "pca"
-    return DirectionBasis(np.array(dirs), source, np.array(vals), rank)
+        k = min(p, d)
+        return DirectionBasis(np.eye(d)[:k], source, np.zeros(k), rank)
+    k = min(p, rank)
+    dirs = [sign_normalize(eigvecs[:, i] / np.linalg.norm(eigvecs[:, i])) for i in range(k)]
+    return DirectionBasis(np.array(dirs), source, eigvals[:k].copy(), rank)
 
 
 def random_unit_directions(d: int, k: int, rng: RngState) -> DirectionBasis:

@@ -47,8 +47,8 @@ class ExemplarSelection:
     truncation to m (always m or m+1); it is None for samplers without that
     loop (herding, random). ``source`` and ``rank`` come from the median
     loop's direction basis: "pca" or "fallback" with the numerical rank of
-    the class for pbes (fallback: more passes than rank, directions cycled),
-    "random" with no rank for randp, and None for herding and random.
+    the class for pbes (fallback: more passes than rank, so the loop cycles
+    the rank's directions), "random" with no rank for randp, else None.
     """
 
     method: str
@@ -152,9 +152,10 @@ def pbes_sample(X, m: int) -> ExemplarSelection:
     """Median selection along the leading principal directions of X.
 
     Computes ``direction_count(n, m)`` principal directions once on the full
-    class set, then repeatedly appends the median point(s) of the remaining
-    rows projected on direction 1, 2, ... and returns the first m appended
-    indices. Deterministic; no RNG involved.
+    class set, or only the rank's when that is lower, then repeatedly appends
+    the median point(s) of the remaining rows projected on direction 1, 2,
+    ... (cycling them) and returns the first m appended indices.
+    Deterministic; no RNG involved.
     """
     A = as_data_matrix(X)
     n = A.shape[0]
@@ -178,14 +179,12 @@ def randp_sample(
     generator, so only ``min(pool_size, passes)`` are drawn: every pool of at
     least the pass count selects the same rows.
     """
+    check_sampler("randp", pool_size)
     A = as_data_matrix(X)
     n, d = A.shape
     _check_request(m, n)
     passes = direction_count(n, m)
-    k = passes if pool_size is None else pool_size
-    if k < 1:
-        raise ValidationError(f"direction pool size must be >= 1, got {k}")
-    basis = random_unit_directions(d, min(k, passes), rng)
+    basis = random_unit_directions(d, min(pool_size or passes, passes), rng)
     indices, appended = _median_select(A, basis.directions, passes, m)
     return ExemplarSelection("randp", tuple(indices), appended, basis.source)
 
@@ -315,6 +314,16 @@ def random_sample(X, m: int, rng: RngState) -> ExemplarSelection:
 SAMPLER_NAMES = ("pbes", "randp", "herding", "random")
 
 
+def check_sampler(method: str, pool_size: int | None) -> None:
+    """The sampler rules that :func:`sample` and a run config share."""
+    if method not in SAMPLER_NAMES:
+        raise ValidationError(f"unknown sampler {method!r}")
+    if pool_size is not None and method != "randp":
+        raise ValidationError("randp_pool only applies to the randp sampler")
+    if pool_size is not None and pool_size < 1:
+        raise ValidationError(f"randp_pool must be >= 1, got {pool_size}")
+
+
 def sample(
     method: str,
     X,
@@ -323,18 +332,13 @@ def sample(
     pool_size: int | None = None,
 ) -> ExemplarSelection:
     """Dispatch to a sampler by name; randp/random require an RngState."""
-    if pool_size is not None and method != "randp":
-        raise ValidationError("randp_pool only applies to the randp sampler")
+    check_sampler(method, pool_size)
     if method == "pbes":
         return pbes_sample(X, m)
     if method == "herding":
         return herding_sample(X, m)
+    if rng is None:
+        raise ValidationError(f"{method} sampling requires a seed")
     if method == "randp":
-        if rng is None:
-            raise ValidationError("randp sampling requires a seed")
         return randp_sample(X, m, rng, pool_size)
-    if method == "random":
-        if rng is None:
-            raise ValidationError("random sampling requires a seed")
-        return random_sample(X, m, rng)
-    raise ValidationError(f"unknown sampling method {method!r}")
+    return random_sample(X, m, rng)

@@ -61,13 +61,16 @@ def write_raw(path, magic, shape, values):
     path.write_bytes(magic + header + np.asarray(values, dtype="<f4").tobytes())
 
 
-# Files that pass the PBIM/PBSM length check but hold no valid image or map.
+# Files that hold no valid image or map: a header cut short (one axis too
+# few), or one that passes the length check over invalid values.
 BAD_PBIM = {
+    "short_header": ((1, 2), []),
     "zero_axis": ((1, 0, 2), []),
     "nan": ((1, 2, 2), [1.0, np.nan, 1.0, 1.0]),
     "inf": ((1, 2, 2), [1.0, 1.0, -np.inf, 1.0]),
 }
 BAD_PBSM = {
+    "short_header": ((2,), []),
     "zero_axis": ((2, 0), []),
     "nan": ((2, 2), [1.0, np.nan, 1.0, 1.0]),
     "negative": ((2, 2), [1.0, -0.5, 1.0, 1.0]),
@@ -133,6 +136,27 @@ class TestSample:
                        "--out", tmp_path / "sel")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param("", "empty dataset file", id="empty"),
+            pytest.param("label,f0\n", "dataset has no rows", id="header_only"),
+        ],
+    )
+    def test_dataset_without_rows_is_io_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "rows.csv"
+        path.write_text(text)
+        assert run_cli("sample", "--input", path, "--method", "pbes", "--m", 1,
+                       "--out", tmp_path / "sel") == 3
+        assert f"{path}: {message}" in capsys.readouterr().err
+
+    def test_label_without_rows_is_validation_error(self, tmp_path, capsys, five_point_csv):
+        out = tmp_path / "sel"
+        assert run_cli("sample", "--input", five_point_csv, "--method", "pbes", "--m", 1,
+                       "--label", 5, "--out", out) == 2
+        assert f"no rows with label 5 in {five_point_csv}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_input_is_io_error(self, tmp_path):
         code = run_cli("sample", "--input", tmp_path / "nope.csv", "--method", "pbes",
                        "--m", 1, "--out", tmp_path / "sel")
@@ -197,6 +221,13 @@ class TestSample:
         assert "randp_pool only applies to the randp sampler" in capsys.readouterr().err
         assert not (tmp_path / "sel").exists()
 
+    def test_randp_pool_below_one_is_named_as_in_a_run(self, tmp_path, capsys,
+                                                      five_point_csv):
+        assert run_cli("sample", "--input", five_point_csv, "--method", "randp", "--m", 1,
+                       "--seed", 0, "--randp-pool", 0, "--out", tmp_path / "sel") == 2
+        assert "randp_pool must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "sel").exists()
+
     def test_randp_pool_beyond_pass_count_changes_nothing(self, tmp_path):
         # m = 5 of 40 rows needs 3 passes; only that many directions are drawn.
         path = tmp_path / "points.csv"
@@ -233,6 +264,24 @@ class TestSample:
         assert run_cli("sample", "--input", path, "--method", method, "--m", 2,
                        "--seed", 2, "--out", out) == 4
         assert "overflow" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # Each centred value squares within range; their sum does not.
+            pytest.param([1.5 * 2.0**511, -1.5 * 2.0**511], id="entry"),
+            # A row too deep for the slices sends the entry to integer sums.
+            pytest.param([1.5 * 2.0**511, -1.5 * 2.0**511, 2.0**-600], id="integer_sum"),
+        ],
+    )
+    def test_overflowing_covariance_is_numerical_error(self, tmp_path, capsys, values):
+        path = tmp_path / "wide.csv"
+        write_dataset_csv(path, LabeledDataset(np.array(values)[:, None], [0] * len(values)))
+        out = tmp_path / "sel"
+        assert run_cli("sample", "--input", path, "--method", "pbes", "--m", 1,
+                       "--out", out) == 4
+        assert "covariance of the data overflows float64" in capsys.readouterr().err
         assert not out.exists()
 
     def test_eigensolver_failure_is_numerical_error(self, tmp_path, capsys, monkeypatch,
@@ -392,6 +441,43 @@ class TestOverrides:
     def test_upperbound_rejects_what_it_would_ignore(self, tmp_path, capsys, overrides, field):
         config = minimal_config(tmp_path, mode="upperbound", **overrides)
         out = tmp_path / "u.csv"
+        assert run_cli("run", "--config", config, "--out", out) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            pytest.param({"sampler": "bogus"}, "sampler", id="sampler"),
+            pytest.param({"randp_pool": 2}, "randp_pool", id="pool_without_randp"),
+            pytest.param({"sampler": "randp", "randp_pool": 0}, "randp_pool", id="pool_zero"),
+            pytest.param({"classifier": "knn"}, "classifier", id="classifier"),
+            pytest.param({"stream": {}}, "stream needs exactly one", id="stream_empty"),
+            pytest.param(
+                {"stream": {"synthetic": {"classes": 4, "tasks": 2},
+                            "files": {"manifest": "stream.json"}}},
+                "stream needs exactly one", id="stream_both",
+            ),
+            # Each row is cut as a 1 x 3 image; the stream is balanced, so no
+            # task would need a cut.
+            pytest.param(
+                {"augmentation": {"enabled": True, "region_height": 2}},
+                "augmentation.region_height", id="region_height",
+            ),
+            pytest.param(
+                {"augmentation": {"enabled": True, "region_width": 4}},
+                "augmentation.region_width", id="region_width",
+            ),
+        ],
+    )
+    def test_rejected_before_any_task_trains(self, tmp_path, capsys, monkeypatch,
+                                             overrides, field):
+        def no_training(*args):
+            raise AssertionError("a task trained")
+
+        monkeypatch.setattr("pbes.harness.train_task", no_training)
+        config = minimal_config(tmp_path, **overrides)
+        out = tmp_path / "m.csv"
         assert run_cli("run", "--config", config, "--out", out) == 2
         assert field in capsys.readouterr().err
         assert not out.exists()
@@ -852,6 +938,15 @@ class TestStats:
         assert run_cli("stats", "--input", root, "--out", tmp_path / "s") == 3
         assert f"{class_dir / 'bad.pbim'}: " in capsys.readouterr().err
 
+
+    def test_root_without_class_dirs_is_io_error(self, tmp_path, capsys):
+        root = tmp_path / "imgs"
+        root.mkdir()
+        write_pbim(root / "loose.pbim", np.ones((1, 2, 2), dtype=np.float32))
+        out = tmp_path / "s"
+        assert run_cli("stats", "--input", root, "--out", out) == 3
+        assert f"{root}: no class subdirectories found" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_class_dir_is_io_error(self, tmp_path, capsys):
         root = tmp_path / "imgs"

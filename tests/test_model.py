@@ -313,6 +313,22 @@ class TestTrainTask:
         with pytest.raises(ValidationError):
             train_task(old, None, batch, LossConfig())
 
+    @pytest.mark.parametrize(
+        "teacher_ids, message",
+        [
+            pytest.param((0, 1, 2), "teacher has more classes than the student", id="larger"),
+            pytest.param((1,), "teacher class ids must prefix the student's", id="not_a_prefix"),
+        ],
+    )
+    def test_teacher_must_prefix_the_student(self, teacher_ids, message):
+        ids = (0, 1)
+        k = len(teacher_ids)
+        teacher = SoftmaxModel(np.ones((k, 2)), np.zeros(k), teacher_ids)
+        batch = TrainingBatch(np.ones((2, 2)), np.array([0, 1]), ids)
+        with pytest.raises(ValidationError, match=message) as raised:
+            train_task(SoftmaxModel.empty(2), teacher, batch, LossConfig(epochs=1))
+        assert raised.value.exit_code == 2
+
     def test_overflow_raises_numerical_error(self):
         X = np.array([[1000.0], [-999.0]])
         ids = (0, 1)

@@ -13,8 +13,14 @@ from pbes.numerics import (
     random_unit_directions,
     sign_normalize,
 )
+from pbes.sampling import _median_select, direction_count
 
-from oracles import column_mean, covariance_double_loop, jacobi_principal_directions
+from oracles import (
+    column_mean,
+    covariance_double_loop,
+    jacobi_principal_directions,
+    median_select_loop,
+)
 
 # Five rows whose first column sums past float64 on the way (mean_vector),
 # and five whose centred products overflow (covariance).
@@ -107,6 +113,9 @@ class TestPrincipalDirections:
         assert basis.source == "fallback"
         assert basis.rank == 0
         assert np.array_equal(basis.directions, np.eye(2))
+        # more directions than axes: the axes once, for the median loop to cycle
+        more = principal_directions([[3.0, 5.0], [3.0, 5.0]], 3)
+        assert np.array_equal(more.directions, np.eye(2))
 
     def test_matches_classical_jacobi_oracle(self):
         X = np.random.default_rng(17).normal(size=(5, 3))
@@ -137,13 +146,21 @@ class TestPrincipalDirections:
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
     def test_fallback_cycles_informative_directions(self):
-        # rank-1 data: direction 2 copies direction 1, direction 3 copies it again
-        X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        basis = principal_directions(X, 3)
+        # rank-1 data needing 4 passes: the basis holds its one informative
+        # direction, and the median loop cycles it as if it were repeated
+        X = np.array([[3.0, 3.0], [0.0, 0.0], [6.0, 6.0], [1.0, 1.0], [5.0, 5.0],
+                      [2.0, 2.0], [4.0, 4.0]])
+        passes = direction_count(7, 6)
+        assert passes == 4
+        basis = principal_directions(X, passes)
         assert basis.source == "fallback"
         assert basis.rank == 1
-        assert np.array_equal(basis.directions[1], basis.directions[0])
-        assert np.array_equal(basis.directions[2], basis.directions[0])
+        assert basis.directions.shape == (1, 2)
+        assert basis.eigenvalues.shape == (1,)
+        repeated = np.repeat(basis.directions, passes, axis=0)
+        assert _median_select(X, basis.directions, passes, 6) == median_select_loop(
+            X, repeated, passes, 6
+        )
 
     def test_sign_convention_positive_max_component(self):
         X = np.random.default_rng(37).normal(size=(12, 4))

@@ -180,6 +180,7 @@ def rounding_decides(X, m):
     tie = 1e-8 * max(1.0, float(np.linalg.norm(X, axis=1).max()))
     projections = X @ directions.T
     library = X @ principal_directions(X, passes).directions.T
+    library = library[:, np.arange(passes) % library.shape[1]]  # cycled, as the loop does
 
     def same(r, s, i):  # equal rows that project equally on both bases
         return (

@@ -63,3 +63,19 @@ def test_traced_run_and_sweep_reach_every_harness_seam(tmp_path):
         "harness.sweep_budgets.calls",
     ):
         assert metrics[name] > 0, name
+
+
+def test_traced_run_counts_the_rank_fallback():
+    # dims 2: a quota of 8 rows needs 4 or more passes, against a rank of 2.
+    spans = load_spans()
+    config = ExperimentConfig(
+        seed=3,
+        stream=SyntheticStreamSpec(classes=4, tasks=2, class_size=12, dims=2),
+        memory_budget=16,
+        loss=LossConfig(learning_rate=0.001, epochs=2),
+    )
+    tracer = spans.Tracer()
+    with spans.patched(tracer):
+        tracer.begin_op(0)
+        run_experiment(config)
+    assert spans.layer_metrics(tracer.spans, ops=1)["numerics.principal_directions.fallback"] > 0
