@@ -200,11 +200,16 @@ def fallback_saliency(images: list[np.ndarray]) -> list[np.ndarray]:
     Requires every image in the class to share one shape.
     """
     stack = [as_image(img) for img in images]
-    shape = stack[0].shape
-    if any(img.shape != shape for img in stack):
+    deviation = _deviation_from_mean(stack)
+    return [deviation(img) for img in stack]
+
+
+def _deviation_from_mean(images: list[np.ndarray]) -> Callable[[np.ndarray], np.ndarray]:
+    """Fallback saliency of an image of ``images`` (validated, of one shape), as a function."""
+    if any(img.shape != images[0].shape for img in images):
         raise ValidationError("fallback saliency requires uniformly shaped images")
-    mean_image = np.mean(np.stack([img.astype(np.float64) for img in stack]), axis=0)
-    return [np.mean(np.abs(img - mean_image), axis=0) for img in stack]
+    mean_image = np.mean(np.stack(images, dtype=np.float64), axis=0)
+    return lambda img: np.mean(np.abs(img - mean_image), axis=0)
 
 
 def _region_dims(h: int, w: int, params: AugmentParams) -> tuple[int, int]:
@@ -232,8 +237,14 @@ def augment_class_records(
     if not images:
         raise ValidationError("cannot augment an empty class")
     imgs = [as_image(img) for img in images]
-    if saliencies is None:
-        sals = fallback_saliency(imgs)
+    gen = rng.generator()
+    order = list(range(len(imgs)))
+    for i in range(len(order) - 1):
+        j = int(gen.integers(i, len(order)))
+        order[i], order[j] = order[j], order[i]
+    if saliencies is None:  # only the first ``count`` sources of the order are cut
+        deviation = _deviation_from_mean(imgs)
+        sals = {src: deviation(imgs[src]) for src in order[:count]}
     else:
         if len(saliencies) != len(imgs):
             raise ValidationError("need one saliency map per image")
@@ -244,12 +255,6 @@ def augment_class_records(
                     f"saliency shape {s.shape} does not match image {img.shape[1:]}"
                 )
     params = params or AugmentParams()
-
-    gen = rng.generator()
-    order = list(range(len(imgs)))
-    for i in range(len(order) - 1):
-        j = int(gen.integers(i, len(order)))
-        order[i], order[j] = order[j], order[i]
     search_rng = rng.derive("region-search")
 
     out: list[AugmentedImage] = []

@@ -85,7 +85,7 @@ def _from_json(cls, section, where: str):
 
     Unknown keys are rejected by name, fields without a default are required
     keys, and absent keys take the dataclass default. ``where`` is the key
-    path of ``section`` ("" at the document root), used in error messages.
+    path of ``section`` ("" at the document root), which prefixes error messages.
     """
     fields = {_JSON_KEYS.get(f.name, f.name): f for f in dataclasses.fields(cls)}
     _reject_unknown(section, fields, where)
@@ -97,7 +97,10 @@ def _from_json(cls, section, where: str):
             values[f.name] = _check(hints[f.name], section[key], path)
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             raise ValidationError(f"missing required key {path!r}")
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ValidationError as exc:  # a range check of ``cls`` itself
+        raise ValidationError(f"{where}: {exc}" if where else str(exc)) from None
 
 
 def _check(hint, value, where: str):

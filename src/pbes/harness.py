@@ -109,20 +109,14 @@ def _augment_task(train, class_ids, settings: AugmentSettings, rng: RngState):
     return np.vstack(points), np.concatenate(labels)
 
 
-def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
-    """Execute the full train/select/rebalance/evaluate loop over the stream."""
-    stream = load_stream(config)
-    if config.augment.enabled:  # each row is cut as a 1 x dims image
-        for name, limit in (("region_height", 1), ("region_width", stream.dims)):
-            size = getattr(config.augment, name) or 1
-            if size > limit:
-                raise ValidationError(f"augmentation.{name} {size} exceeds a 1 x {stream.dims} row")
+def _run_budget(config: ExperimentConfig, stream: TaskStream, augmented) -> list[MetricsRow]:
+    """One budget's loop over a loaded stream; ``augmented`` lists each task's cut blocks."""
     model = SoftmaxModel.empty(stream.dims)
     memory = RehearsalMemory()
     rows: list[MetricsRow] = []
     accuracies: list[float] = []
 
-    for task_index, task in enumerate(stream.tasks, start=1):
+    for task_index, (task, extra) in enumerate(zip(stream.tasks, augmented), start=1):
         started = time.perf_counter()
         seen = stream.tasks[:task_index]
         new_ids = tuple(sorted(int(c) for c in task.class_ids))
@@ -130,10 +124,7 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
         if config.mode == "upperbound":
             blocks = [(t.train.points, t.train.labels) for t in seen]
         else:
-            blocks = [(task.train.points, task.train.labels)]
-            if config.augment.enabled:
-                rng = RngState(config.seed).derive("augment", task_index)
-                blocks.append(_augment_task(task.train, new_ids, config.augment, rng))
+            blocks = [(task.train.points, task.train.labels), *extra]
             # Replayed rows come last; memory is empty outside method mode.
             stored = memory.stored_points()
             if stored is not None:
@@ -186,12 +177,19 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
     return rows
 
 
+def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
+    """Execute the full train/select/rebalance/evaluate loop: the sweep of one budget."""
+    return sweep_budgets(config, [config.memory_budget])[0][1]
+
+
 def sweep_budgets(
     config: ExperimentConfig, budgets: list[int]
 ) -> list[tuple[int, list[MetricsRow]]]:
     """Run the experiment once per memory budget, ascending, deduplicated.
 
-    Every budget's config is built, and so validated, before any run starts.
+    Every budget's config is built, and so validated, before the stream loads.
+    Neither the stream nor a task's augmented block depends on the budget, so
+    both are made once and every budget's run trains on them.
     """
     if not budgets:
         raise ValidationError("budget sweep needs at least one budget")
@@ -201,7 +199,19 @@ def sweep_budgets(
             warnings.warn(f"duplicate budget {b} ignored", stacklevel=2)
         else:
             configs[b] = replace(config, memory_budget=b)
-    return [(b, run_experiment(configs[b])) for b in sorted(configs)]
+    stream = load_stream(config)
+    augmented = [[] for _ in stream.tasks]
+    if config.augment.enabled:  # each row is cut as a 1 x dims image
+        for name, limit in (("region_height", 1), ("region_width", stream.dims)):
+            size = getattr(config.augment, name) or 1
+            if size > limit:
+                raise ValidationError(f"augmentation.{name} {size} exceeds a 1 x {stream.dims} row")
+        augmented = [
+            [_augment_task(task.train, task.class_ids, config.augment,
+                           RngState(config.seed).derive("augment", task_index))]
+            for task_index, task in enumerate(stream.tasks, start=1)
+        ]
+    return [(b, _run_budget(configs[b], stream, augmented)) for b in sorted(configs)]
 
 
 SWEEP_HEADER = "M,task,accuracy,avg_accuracy,macro_f1,gmean,wall_ms"

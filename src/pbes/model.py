@@ -95,8 +95,9 @@ class LossConfig:
             raise ValidationError(
                 f"learning_rate must be finite and positive, got {self.learning_rate}"
             )
-        if self.epochs < 0 or self.batch_size < 0:
-            raise ValidationError("epochs and batch size must be >= 0")
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.distill_scope not in ("all", "exemplars_only"):
             raise ValidationError(f"unknown distill scope {self.distill_scope!r}")
 

@@ -140,11 +140,11 @@ class SyntheticStreamSpec:
                 f"{self.classes} classes do not divide into {self.tasks} equal tasks"
             )
         if not 0.0 <= self.outlier_fraction < 1.0:
-            raise ValidationError("outlier fraction must be in [0, 1)")
+            raise ValidationError("outlier_fraction must be in [0, 1)")
         if self.imbalance_ratio < 1.0:
-            raise ValidationError("imbalance ratio must be >= 1")
+            raise ValidationError(f"imbalance_ratio must be >= 1, got {self.imbalance_ratio}")
         if not 0.0 < self.test_fraction < 1.0:
-            raise ValidationError("test fraction must be in (0, 1)")
+            raise ValidationError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if self.per_class_sizes is not None and len(self.per_class_sizes) != self.classes:
             raise ValidationError("per_class_sizes must list one size per class")
         if self.per_class_sizes is not None:

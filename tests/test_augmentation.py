@@ -327,6 +327,28 @@ class TestFallbackSaliency:
         with pytest.raises(ValidationError):
             fallback_saliency([np.ones((1, 2, 2)), np.ones((1, 3, 3))])
 
+    def test_mixed_shapes_error_when_augmenting_fewer_sources(self):
+        # One cut reaches one source, but every image must share the shape.
+        images = [np.ones((1, 2, 2))] * 3 + [np.ones((1, 3, 3))]
+        with pytest.raises(ValidationError, match="uniformly shaped"):
+            augment_class_records(images, 1, RngState(0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("count", [3, 5, 12], ids=["fewer", "equal", "more"])
+    def test_augmenting_without_maps_equals_passing_them(self, dtype, count):
+        gen = np.random.default_rng(16)
+        images = [gen.random((2, 6, 7)).astype(dtype) for _ in range(5)]
+        params = AugmentParams(region_height=2, region_width=3)
+        lazy = augment_class_records(images, count, RngState(4), params=params)
+        explicit = augment_class_records(
+            images, count, RngState(4), saliencies=fallback_saliency(images), params=params
+        )
+        assert len(lazy) == count
+        for a, b in zip(lazy, explicit, strict=True):
+            assert (a.source_index, a.region) == (b.source_index, b.region)
+            assert a.image.dtype == b.image.dtype == dtype
+            assert a.image.tobytes() == b.image.tobytes()
+
 
 class TestImageFormats:
     def test_pbim_round_trip_bit_exact(self, tmp_path):

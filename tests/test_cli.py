@@ -385,8 +385,9 @@ class TestSweep:
     def test_invalid_budget_runs_nothing(self, tmp_path, monkeypatch, overrides, budgets):
         import pbes.harness as harness
 
+        # Loading the stream is the first thing a run does.
         calls = []
-        monkeypatch.setattr(harness, "run_experiment", lambda config: calls.append(config))
+        monkeypatch.setattr(harness, "load_stream", lambda config: calls.append(config))
         config = minimal_config(tmp_path, **overrides)
         out = tmp_path / "sweep.csv"
         assert run_cli("sweep", "--config", config, "--budgets", budgets, "--out", out) == 2
@@ -518,6 +519,25 @@ class TestOverrides:
         assert run_cli("run", "--config", config, "--out", tmp_path / "m.csv") == 2
         err = capsys.readouterr().err
         assert f"error: {key_path} must be " in err
+        assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            pytest.param({"loss": {"epochs": -1}}, "loss: epochs must be >= 0, got -1",
+                         id="epochs"),
+            pytest.param({"loss": {"batch_size": -1}}, "loss: batch_size must be >= 0, got -1",
+                         id="batch_size"),
+            pytest.param(
+                {"stream": {"synthetic": {"classes": 4, "tasks": 2, "imbalance_ratio": 0.5}}},
+                "stream.synthetic: imbalance_ratio must be >= 1, got 0.5", id="imbalance_ratio",
+            ),
+        ],
+    )
+    def test_out_of_range_value_names_its_key(self, tmp_path, capsys, overrides, message):
+        config = minimal_config(tmp_path, **overrides)
+        assert run_cli("run", "--config", config, "--out", tmp_path / "m.csv") == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
 
     def test_ints_accepted_for_floats(self, tmp_path):

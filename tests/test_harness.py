@@ -38,6 +38,12 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
+# Class sizes differ within each task, so an enabled augmentation cuts rows.
+IMBALANCED_SPEC = SyntheticStreamSpec(
+    classes=4, tasks=2, class_size=16, imbalance_ratio=2.0, dims=4
+)
+
+
 class TestConfigValidation:
     def test_finetune_requires_zero_budget(self):
         with pytest.raises(ValidationError):
@@ -148,9 +154,7 @@ class TestModeSemantics:
 
         monkeypatch.setattr(harness, "rebalance_memory", capture_rebalance)
         monkeypatch.setattr(harness, "_augment_task", capture_augment)
-        spec = SyntheticStreamSpec(
-            classes=4, tasks=2, class_size=16, imbalance_ratio=2.0, dims=4
-        )
+        spec = IMBALANCED_SPEC
         config = tiny_config(
             stream=spec,
             memory_budget=8,
@@ -346,6 +350,17 @@ def test_metrics_csv_pinned(name):
     assert csv.splitlines()[1:] == list(expected)
 
 
+def assert_blocks_match_single_runs(config):
+    """Each budget's block of a sweep's CSV equals that budget's single run."""
+    lines = format_sweep_rows(sweep_budgets(config, [12, 4, 8])).splitlines(True)
+    for budget in (4, 8, 12):
+        single = format_metrics_rows(
+            run_experiment(replace(config, memory_budget=budget))
+        ).splitlines(True)[1:]
+        block = [ln for ln in lines[1:] if ln.startswith(f"{budget},")]
+        assert block == [f"{budget},{ln}" for ln in single]
+
+
 class TestSweep:
     def test_blocks_and_ordering(self):
         results = sweep_budgets(tiny_config(), [16, 8])
@@ -361,14 +376,36 @@ class TestSweep:
         assert [budget for budget, _ in results] == [8, 16]
 
     def test_blocks_match_single_runs(self):
-        config = tiny_config()
-        lines = format_sweep_rows(sweep_budgets(config, [12, 4, 8])).splitlines(True)
-        for budget in (4, 8, 12):
-            single = format_metrics_rows(
-                run_experiment(replace(config, memory_budget=budget))
-            ).splitlines(True)[1:]
-            block = [ln for ln in lines[1:] if ln.startswith(f"{budget},")]
-            assert block == [f"{budget},{ln}" for ln in single]
+        assert_blocks_match_single_runs(tiny_config())
+
+    def test_augmented_ncm_blocks_match_single_runs(self):
+        # The benchmark sweep's shape: cuts balance every task, ncm scores.
+        assert_blocks_match_single_runs(
+            tiny_config(stream=IMBALANCED_SPEC, classifier="ncm",
+                        augment=AugmentSettings(enabled=True))
+        )
+
+    def test_stream_loaded_and_tasks_augmented_once(self, monkeypatch):
+        import pbes.harness as harness
+
+        loads, blocks = [], []
+        real_load, real_augment = harness.load_stream, harness._augment_task
+
+        def load(config):
+            loads.append(config)
+            return real_load(config)
+
+        def augment(*args):
+            blocks.append(real_augment(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(harness, "load_stream", load)
+        monkeypatch.setattr(harness, "_augment_task", augment)
+        config = tiny_config(stream=IMBALANCED_SPEC, augment=AugmentSettings(enabled=True))
+        assert len(sweep_budgets(config, [4, 8, 12, 16])) == 4
+        assert len(loads) == 1
+        assert len(blocks) == IMBALANCED_SPEC.tasks
+        assert sum(len(labels) for _, labels in blocks) > 0
 
     def test_empty_budgets_rejected(self):
         with pytest.raises(ValidationError):
@@ -389,8 +426,9 @@ class TestSweep:
     def test_every_budget_checked_before_any_run(self, monkeypatch, overrides, budgets):
         import pbes.harness as harness
 
+        # Loading the stream is the first thing a run does.
         calls = []
-        monkeypatch.setattr(harness, "run_experiment", lambda config: calls.append(config))
+        monkeypatch.setattr(harness, "load_stream", lambda config: calls.append(config))
         with pytest.raises(ValidationError):
             sweep_budgets(tiny_config(**overrides), budgets)
         assert calls == []

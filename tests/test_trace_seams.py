@@ -12,8 +12,9 @@ import json
 import sys
 from pathlib import Path
 
+from pbes import harness
 from pbes.cli import main
-from pbes.harness import ExperimentConfig, run_experiment
+from pbes.harness import ExperimentConfig
 from pbes.model import LossConfig
 from pbes.stream import SyntheticStreamSpec
 
@@ -47,7 +48,8 @@ def test_traced_run_and_sweep_reach_every_harness_seam(tmp_path):
     tracer = spans.Tracer()
     with spans.patched(tracer):
         tracer.begin_op(0)
-        run_experiment(config)
+        # Looked up inside the patched block, so the call goes through the wrapper.
+        harness.run_experiment(config)
         tracer.begin_op(1)
         argv = ["sweep", "--config", str(config_path), "--budgets", "2,4",
                 "--out", str(tmp_path / "sweep.csv")]
@@ -77,5 +79,5 @@ def test_traced_run_counts_the_rank_fallback():
     tracer = spans.Tracer()
     with spans.patched(tracer):
         tracer.begin_op(0)
-        run_experiment(config)
+        harness.run_experiment(config)
     assert spans.layer_metrics(tracer.spans, ops=1)["numerics.principal_directions.fallback"] > 0
