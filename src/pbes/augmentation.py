@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FileFormatError, ValidationError
-from .numerics import RngState, finite_array
+from .numerics import RngState, finite_array, shuffled_prefix
 
 
 def as_image(x) -> np.ndarray:
@@ -133,27 +133,22 @@ def find_low_importance_region(
     raster order). Randomized mode draws uniformly, seeded, among windows
     whose score is at most the tau-quantile of all candidate scores.
     """
+    AugmentParams(region_height, region_width, mode, tau)  # its extent, mode and tau rules
     s = as_saliency(saliency)
     h, w = s.shape
     if region_height > h or region_width > w:
         raise ValidationError(
             f"region {region_height}x{region_width} larger than map {h}x{w}"
         )
-    if region_height < 1 or region_width < 1:
-        raise ValidationError("region extent must be >= 1")
     scores = _window_scores(s, region_height, region_width)
     if mode == "deterministic":
         pick = int(np.argmin(scores))
-    elif mode == "randomized":
+    else:
         if rng is None:
             raise ValidationError("randomized region search requires a seed")
-        if not 0.0 <= tau <= 1.0:
-            raise ValidationError(f"tau must be in [0, 1], got {tau}")
         cutoff = float(np.quantile(scores, tau))
         eligible = np.flatnonzero(scores <= cutoff)
         pick = int(eligible[int(rng.generator().integers(len(eligible)))])
-    else:
-        raise ValidationError(f"unknown region search mode {mode!r}")
     top, left = divmod(pick, w - region_width + 1)
     return Region(top=top, left=left, height=region_height, width=region_width)
 
@@ -237,11 +232,7 @@ def augment_class_records(
     if not images:
         raise ValidationError("cannot augment an empty class")
     imgs = [as_image(img) for img in images]
-    gen = rng.generator()
-    order = list(range(len(imgs)))
-    for i in range(len(order) - 1):
-        j = int(gen.integers(i, len(order)))
-        order[i], order[j] = order[j], order[i]
+    order = shuffled_prefix(rng, len(imgs), len(imgs))
     if saliencies is None:  # only the first ``count`` sources of the order are cut
         deviation = _deviation_from_mean(imgs)
         sals = {src: deviation(imgs[src]) for src in order[:count]}

@@ -42,7 +42,6 @@ from .harness import (
     EXPERIMENT_MODES,
     ExperimentConfig,
     StreamFiles,
-    decision_flags,
     format_sweep_rows,
     run_experiment,
     sweep_budgets,
@@ -166,7 +165,6 @@ def _write_provenance(out_path: Path, doc: dict, config, wall_ms) -> None:
         "config_sha256": _config_digest(doc),
         "seed": config.seed,
         "package_version": __version__,
-        "decisions": decision_flags(config),
         "wall_ms_per_task": wall_ms,
     }
     Path(str(out_path) + ".provenance.json").write_text(
@@ -205,13 +203,7 @@ def _load_sample_rows(input_path: Path, label: int | None):
 
 
 def cmd_sample(args) -> int:
-    if args.method in ("randp", "random") and args.seed is None:
-        raise ValidationError(f"--seed is required for method {args.method!r}")
     rows, labels, original_rows = _load_sample_rows(Path(args.input), args.label)
-    if not 1 <= args.m <= rows.shape[0]:
-        raise ValidationError(
-            f"need 1 <= m <= {rows.shape[0]} available rows, got m={args.m}"
-        )
     rng = None if args.seed is None else RngState(args.seed)
     selection = sample(args.method, rows, args.m, rng=rng, pool_size=args.randp_pool)
     out_dir = Path(args.out)
@@ -262,8 +254,6 @@ def cmd_sweep(args) -> int:
         budgets = [int(tok) for tok in args.budgets.split(",") if tok.strip() != ""]
     except ValueError:
         raise ValidationError(f"--budgets must be comma-separated integers, got {args.budgets!r}")
-    if not budgets:
-        raise ValidationError("--budgets must name at least one budget")
     results = sweep_budgets(config, budgets)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)

@@ -24,10 +24,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .augmentation import AugmentParams, augment_class_records, balance_plan
+from . import augmentation
 from .errors import ValidationError
 from .memory import RehearsalMemory, rebalance_memory
-from .metrics import MetricsRow, evaluate, format_metrics_rows
+from .metrics import METRICS_HEADER, MetricsRow, evaluate, format_metrics_rows
 from .model import LossConfig, SoftmaxModel, TrainingBatch, train_task
 from .numerics import RngState
 from .sampling import check_sampler, sample
@@ -37,7 +37,7 @@ EXPERIMENT_MODES = ("finetune", "method", "upperbound")
 
 
 @dataclass(frozen=True)
-class AugmentSettings(AugmentParams):
+class AugmentSettings(augmentation.AugmentParams):
     """Whether and how to balance class sizes inside each incoming task."""
 
     enabled: bool = False
@@ -99,9 +99,9 @@ def _augment_task(train, class_ids, settings: AugmentSettings, rng: RngState):
     sizes = {int(cid): int(np.sum(train.labels == cid)) for cid in class_ids}
     points = [np.zeros((0, train.points.shape[1]))]
     labels = [np.zeros(0, dtype=np.int64)]
-    for cid, count in sorted(balance_plan(sizes).items()):
+    for cid, count in sorted(augmentation.balance_plan(sizes).items()):
         images = [row.reshape(1, 1, -1) for row in train.rows_for(cid)]
-        records = augment_class_records(
+        records = augmentation.augment_class_records(
             images, count, rng.derive("class", cid), params=settings
         )
         points.extend(rec.image.reshape(-1) for rec in records)
@@ -214,7 +214,7 @@ def sweep_budgets(
     return [(b, _run_budget(configs[b], stream, augmented)) for b in sorted(configs)]
 
 
-SWEEP_HEADER = "M,task,accuracy,avg_accuracy,macro_f1,gmean,wall_ms"
+SWEEP_HEADER = "M," + METRICS_HEADER
 
 
 def format_sweep_rows(results: list[tuple[int, list[MetricsRow]]]) -> str:
@@ -224,20 +224,3 @@ def format_sweep_rows(results: list[tuple[int, list[MetricsRow]]]) -> str:
         body = format_metrics_rows(rows).splitlines()[1:]
         lines.extend(f"{budget},{line}" for line in body)
     return "\n".join(lines) + "\n"
-
-
-def decision_flags(config: ExperimentConfig) -> dict:
-    """Behavioural switches recorded alongside every run for provenance."""
-    return {
-        "covariance_divisor": "n",
-        "eigensolver": "lapack-syevd",
-        "direction_sign": "largest-magnitude-component-positive",
-        "rank_fallback": "cycle-informative-directions",
-        "cross_entropy_temperature": config.loss.ce_temperature(),
-        "distill_scope": config.loss.distill_scope,
-        "memory_discard": "prefix-truncation",
-        "quota_remainder": "earliest-arrivals-first",
-        "exemplar_source": "original-data-only",
-        "saliency_fallback": "channel-mean-absolute-deviation",
-        "metrics_timing_column": "deterministic-zero",
-    }

@@ -8,6 +8,7 @@ classes being forgotten entirely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,10 +64,13 @@ def evaluate(
         f1_values.append(0.0 if tp == 0 else 2.0 * tp / (2.0 * tp + fp + fn))
         recalls.append(tp / (tp + fn))
     macro_f1 = float(np.mean(f1_values))
+    product = np.prod(recalls)
     if any(r == 0.0 for r in recalls):
         gmean = 0.0
-    else:
-        gmean = float(np.prod(recalls) ** (1.0 / len(recalls)))
+    elif product >= 2.0**-1022:
+        gmean = float(product ** (1.0 / len(recalls)))
+    else:  # the product left the normal range: average the logs instead
+        gmean = math.exp(math.fsum(math.log(r) for r in recalls) / len(recalls))
     return accuracy, macro_f1, gmean
 
 

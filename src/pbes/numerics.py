@@ -89,6 +89,16 @@ class RngState:
         return RngState(seed=int(seq.generate_state(1, np.uint64)[0]))
 
 
+def shuffled_prefix(rng: RngState, n: int, k: int) -> list[int]:
+    """The first k entries of a seeded Fisher-Yates shuffle of ``range(n)``."""
+    gen = rng.generator()
+    order = list(range(n))
+    for i in range(min(k, n - 1)):  # the last position has nothing left to swap with
+        j = int(gen.integers(i, n))
+        order[i], order[j] = order[j], order[i]
+    return order[:k]
+
+
 @dataclass(frozen=True)
 class DirectionBasis:
     """Ordered unit directions in R^d.

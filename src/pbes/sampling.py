@@ -31,6 +31,7 @@ from .numerics import (
     mean_vector,
     principal_directions,
     random_unit_directions,
+    shuffled_prefix,
 )
 
 _PROJECTION_OVERFLOW = "projections of the data on the directions overflow float64"
@@ -301,14 +302,8 @@ class _HerdingScreen:
 def random_sample(X, m: int, rng: RngState) -> ExemplarSelection:
     """m distinct indices via a seeded Fisher-Yates prefix shuffle."""
     A = as_data_matrix(X)
-    n = A.shape[0]
-    _check_request(m, n)
-    gen = rng.generator()
-    indices = list(range(n))
-    for i in range(m):
-        j = int(gen.integers(i, n))
-        indices[i], indices[j] = indices[j], indices[i]
-    return ExemplarSelection("random", tuple(indices[:m]), None)
+    _check_request(m, A.shape[0])
+    return ExemplarSelection("random", tuple(shuffled_prefix(rng, A.shape[0], m)), None)
 
 
 SAMPLER_NAMES = ("pbes", "randp", "herding", "random")

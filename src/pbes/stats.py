@@ -24,9 +24,6 @@ class DatasetStats:
     per_class: dict[int, ClassStats]
     average_variances: tuple[float, ...]
 
-    def counts(self) -> dict[int, int]:
-        return {cid: cs.count for cid, cs in self.per_class.items()}
-
 
 def dataset_stats(images: list, labels) -> DatasetStats:
     """Population variance of each channel's pixel values, per class.

@@ -133,8 +133,9 @@ class SyntheticStreamSpec:
     per_class_sizes: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.classes < 1 or self.tasks < 1 or self.dims < 1:
-            raise ValidationError("need at least one class, one task and one dimension")
+        for name in ("classes", "tasks", "dims"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.classes % self.tasks != 0:
             raise ValidationError(
                 f"{self.classes} classes do not divide into {self.tasks} equal tasks"
@@ -156,6 +157,11 @@ class SyntheticStreamSpec:
                 f"synthetic stream too large: {source} gives {rows} rows, times "
                 f"dims {self.dims} exceeds {MAX_SYNTHETIC_VALUES} values"
             )
+        for c, s in enumerate(self.class_sizes()):
+            if s < 2:
+                raise ValidationError(
+                    f"class {c} has size {s}; need >= 2 for a train/test split"
+                )
 
     def class_sizes(self) -> list[int]:
         if self.per_class_sizes is not None:
@@ -168,11 +174,6 @@ class SyntheticStreamSpec:
                 int(round(self.class_size * (1.0 + (low - 1.0) * c / (self.classes - 1))))
                 for c in range(self.classes)
             ]
-        for c, s in enumerate(sizes):
-            if s < 2:
-                raise ValidationError(
-                    f"class {c} has size {s}; need >= 2 for a train/test split"
-                )
         return sizes
 
 

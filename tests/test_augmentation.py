@@ -155,6 +155,18 @@ class TestFindLowImportanceRegion:
         with pytest.raises(ValidationError):
             find_low_importance_region(np.ones((3, 3)), 1, 1, mode="randomized")
 
+    @pytest.mark.parametrize(
+        "args, kwargs, message",
+        [
+            ((1, 1), {"mode": "bogus"}, "unknown region search mode 'bogus'"),
+            ((1, 1), {"tau": 1.5}, r"tau must be in \[0, 1\], got 1.5"),
+            ((0, 1), {}, "region_height must be null or >= 1, got 0"),
+        ],
+    )
+    def test_follows_the_augment_params_rules(self, args, kwargs, message):
+        with pytest.raises(ValidationError, match=message):
+            find_low_importance_region(np.ones((3, 3)), *args, **kwargs)
+
 
 @st.composite
 def region_searches(draw):

@@ -129,6 +129,22 @@ class TestSample:
                        "--m", 9, "--out", tmp_path / "sel")
         assert code == 2
 
+    @pytest.mark.parametrize("method", ["pbes", "randp", "herding", "random"])
+    def test_m_zero_is_the_samplers_validation_error(self, tmp_path, capsys, five_point_csv,
+                                                    method):
+        assert run_cli("sample", "--input", five_point_csv, "--method", method, "--m", 0,
+                       "--seed", 1, "--out", tmp_path / "sel") == 2
+        assert "error: need 1 <= m <= n, got m=0, n=5\n" in capsys.readouterr().err
+        assert not (tmp_path / "sel").exists()
+
+    @pytest.mark.parametrize("method", ["randp", "random"])
+    def test_seeded_method_without_seed_names_the_seed(self, tmp_path, capsys, five_point_csv,
+                                                       method):
+        assert run_cli("sample", "--input", five_point_csv, "--method", method, "--m", 2,
+                       "--out", tmp_path / "sel") == 2
+        assert f"error: {method} sampling requires a seed\n" in capsys.readouterr().err
+        assert not (tmp_path / "sel").exists()
+
     def test_unreadable_input_is_io_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("definitely,not\n1,a,dataset\n")
@@ -305,7 +321,7 @@ class TestRun:
         assert len(lines) == 3
         sidecar = json.loads((tmp_path / "metrics.csv.provenance.json").read_text())
         assert sidecar["seed"] == 11
-        assert "decisions" in sidecar and "config_sha256" in sidecar
+        assert set(sidecar) == {"config_sha256", "seed", "package_version", "wall_ms_per_task"}
 
     def test_rerun_byte_identical(self, tmp_path):
         config = minimal_config(tmp_path)
@@ -377,6 +393,14 @@ class TestSweep:
         config = minimal_config(tmp_path)
         assert run_cli("sweep", "--config", config, "--budgets", "8,x",
                        "--out", tmp_path / "s.csv") == 2
+
+    @pytest.mark.parametrize("budgets", [",", " , "])
+    def test_empty_budget_list_is_the_sweeps_validation_error(self, tmp_path, capsys, budgets):
+        config = minimal_config(tmp_path)
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--config", config, "--budgets", budgets, "--out", out) == 2
+        assert "error: budget sweep needs at least one budget\n" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "overrides, budgets",
@@ -532,6 +556,32 @@ class TestOverrides:
                 {"stream": {"synthetic": {"classes": 4, "tasks": 2, "imbalance_ratio": 0.5}}},
                 "stream.synthetic: imbalance_ratio must be >= 1, got 0.5", id="imbalance_ratio",
             ),
+            pytest.param(
+                {"stream": {"synthetic": {"classes": 0, "tasks": 2}}},
+                "stream.synthetic: classes must be >= 1, got 0", id="classes",
+            ),
+            pytest.param(
+                {"stream": {"synthetic": {"classes": 4, "tasks": 2, "test_fraction": 1.0}}},
+                "stream.synthetic: test_fraction must be in (0, 1), got 1.0", id="test_fraction",
+            ),
+            pytest.param(
+                {"stream": {"synthetic": {"classes": 4, "tasks": 2,
+                                          "per_class_sizes": [12, 12, 12]}}},
+                "stream.synthetic: per_class_sizes must list one size per class",
+                id="per_class_sizes_length",
+            ),
+            pytest.param(
+                {"stream": {"synthetic": {"classes": 4, "tasks": 2,
+                                          "per_class_sizes": [12, 12, 12, 1]}}},
+                "stream.synthetic: class 3 has size 1; need >= 2 for a train/test split",
+                id="per_class_size_below_2",
+            ),
+            pytest.param(
+                {"stream": {"synthetic": {"classes": 4, "tasks": 2, "class_size": 2,
+                                          "imbalance_ratio": 4.0}}},
+                "stream.synthetic: class 2 has size 1; need >= 2 for a train/test split",
+                id="class_size_below_2",
+            ),
         ],
     )
     def test_out_of_range_value_names_its_key(self, tmp_path, capsys, overrides, message):
@@ -539,6 +589,22 @@ class TestOverrides:
         assert run_cli("run", "--config", config, "--out", tmp_path / "m.csv") == 2
         assert f"error: {message}\n" in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize(
+        "synthetic",
+        [
+            pytest.param({"classes": 1, "tasks": 1, "class_size": 12, "dims": 3}, id="one_class"),
+            pytest.param({"classes": 4, "tasks": 2, "class_size": 12, "dims": 1}, id="one_dim"),
+        ],
+    )
+    def test_degenerate_stream_runs(self, tmp_path, synthetic):
+        config = minimal_config(tmp_path, stream={"synthetic": synthetic})
+        out = tmp_path / "m.csv"
+        assert run_cli("run", "--config", config, "--out", out) == 0
+        lines = out.read_text().splitlines()
+        assert [ln.split(",")[0] for ln in lines[1:]] == [
+            str(t) for t in range(1, synthetic["tasks"] + 1)
+        ]
 
     def test_ints_accepted_for_floats(self, tmp_path):
         outputs = []
@@ -919,7 +985,7 @@ def make_class_dir(root, cid, images):
     return class_dir
 
 
-@pytest.mark.parametrize("name", ["01", "+1", "1_0", "-0"])
+@pytest.mark.parametrize("name", ["01", "+1", "1_0", "-0", "cats"])
 def test_non_canonical_class_dir_is_validation_error(tmp_path, capsys, name):
     # int() reads each name, but only the decimal form of an id names a class.
     root = tmp_path / "imgs"

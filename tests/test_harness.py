@@ -8,7 +8,6 @@ from pbes.harness import (
     AugmentSettings,
     ExperimentConfig,
     StreamFiles,
-    decision_flags,
     format_sweep_rows,
     run_experiment,
     sweep_budgets,
@@ -432,10 +431,3 @@ class TestSweep:
         with pytest.raises(ValidationError):
             sweep_budgets(tiny_config(**overrides), budgets)
         assert calls == []
-
-
-def test_decision_flags_cover_behavioural_switches():
-    flags = decision_flags(tiny_config())
-    assert flags["distill_scope"] == "all"
-    assert flags["eigensolver"] == "lapack-syevd"
-    assert flags["metrics_timing_column"] == "deterministic-zero"

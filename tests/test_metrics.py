@@ -60,6 +60,23 @@ class TestEvaluate:
         with pytest.raises(ValidationError):
             evaluate(model, None, np.ones((1, 1)), [3])
 
+    @staticmethod
+    def one_in_ten_recalled(k):
+        """evaluate's arguments: an identity model, ten test rows per class, one predicted right."""
+        model = SoftmaxModel(np.eye(k), np.zeros(k), tuple(range(k)))
+        rows = [c if r == 0 else (c + 1) % k for c in range(k) for r in range(10)]
+        return model, None, np.eye(k)[rows], np.repeat(np.arange(k), 10)
+
+    def test_gmean_of_many_small_recalls_does_not_underflow(self):
+        # 0.1 ** 324 is below the smallest subnormal, so the product is 0.
+        acc, f1, gmean = evaluate(*self.one_in_ten_recalled(324))
+        assert acc == pytest.approx(0.1)
+        assert gmean == pytest.approx(0.1, rel=1e-12)
+
+    def test_gmean_keeps_its_bits_while_the_product_is_normal(self):
+        acc, f1, gmean = evaluate(*self.one_in_ten_recalled(300))
+        assert gmean == float(np.prod([0.1] * 300) ** (1.0 / 300))
+
 
 class TestMetricsCsv:
     def rows(self):

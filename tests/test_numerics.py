@@ -11,6 +11,7 @@ from pbes.numerics import (
     mean_vector,
     principal_directions,
     random_unit_directions,
+    shuffled_prefix,
     sign_normalize,
 )
 from pbes.sampling import _median_select, direction_count
@@ -233,3 +234,31 @@ class TestRngState:
         a = RngState(-1).generator().random(3)
         b = RngState(2**64 - 1).generator().random(3)
         assert np.array_equal(a, b)
+
+
+def former_sampler_shuffle(rng, n, m):
+    """The loop random_sample ran before it called shuffled_prefix."""
+    gen = rng.generator()
+    indices = list(range(n))
+    for i in range(m):
+        j = int(gen.integers(i, n))
+        indices[i], indices[j] = indices[j], indices[i]
+    return indices[:m]
+
+
+def former_augment_shuffle(rng, n):
+    """The loop augment_class_records ran before it called shuffled_prefix."""
+    gen = rng.generator()
+    order = list(range(n))
+    for i in range(n - 1):
+        j = int(gen.integers(i, n))
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
+class TestShuffledPrefix:
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 40), st.data())
+    def test_equals_both_former_loops(self, seed, n, data):
+        m = data.draw(st.integers(1, n))
+        assert shuffled_prefix(RngState(seed), n, m) == former_sampler_shuffle(RngState(seed), n, m)
+        assert shuffled_prefix(RngState(seed), n, n) == former_augment_shuffle(RngState(seed), n)

@@ -22,8 +22,9 @@ class TestDatasetStats:
         images = [gen.random((1, 2, 2)) for _ in range(7)]
         labels = [0, 0, 1, 1, 1, 2, 2]
         stats = dataset_stats(images, labels)
-        assert sum(stats.counts().values()) == 7
-        assert stats.counts() == {0: 2, 1: 3, 2: 2}
+        counts = {cid: cs.count for cid, cs in stats.per_class.items()}
+        assert sum(counts.values()) == 7
+        assert counts == {0: 2, 1: 3, 2: 2}
 
     def test_mixed_spatial_sizes_allowed(self):
         images = [np.zeros((1, 2, 2)), np.ones((1, 3, 3))]

@@ -33,11 +33,13 @@ def test_traced_run_and_sweep_reach_every_harness_seam(tmp_path):
     spans = load_spans()
     stream = {"classes": 4, "tasks": 2, "class_size": 8, "dims": 3}
     config_path = tmp_path / "config.json"
+    # The sweep balances its imbalanced classes by selective cuts.
     config_path.write_text(json.dumps({
         "seed": 3,
         "memory_budget": 4,
         "loss": {"learning_rate": 0.001, "epochs": 2},
-        "stream": {"synthetic": stream},
+        "augmentation": {"enabled": True},
+        "stream": {"synthetic": {**stream, "imbalance_ratio": 2.0}},
     }))
     config = ExperimentConfig(
         seed=3,
@@ -63,6 +65,7 @@ def test_traced_run_and_sweep_reach_every_harness_seam(tmp_path):
         "sampling.pbes_sample.calls",
         "harness.run_experiment.calls",
         "harness.sweep_budgets.calls",
+        "augmentation.augment_class_records.calls",
     ):
         assert metrics[name] > 0, name
 
