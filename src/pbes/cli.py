@@ -205,7 +205,7 @@ def _load_sample_rows(input_path: Path, label: int | None):
 def cmd_sample(args) -> int:
     rows, labels, original_rows = _load_sample_rows(Path(args.input), args.label)
     rng = None if args.seed is None else RngState(args.seed)
-    selection = sample(args.method, rows, args.m, rng=rng, pool_size=args.randp_pool)
+    selection = sample(args.method, rows, args.m, rng=rng)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     chosen = [int(original_rows[i]) for i in selection.ordered_indices]
@@ -368,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", required=True, type=int, help="number of exemplars")
     p.add_argument("--seed", type=int, help="master seed (required for randp/random)")
     p.add_argument("--label", type=int, help="restrict to rows of one class id")
-    p.add_argument("--randp-pool", type=int, help="random direction pool size for randp")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_sample)
 

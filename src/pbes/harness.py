@@ -54,7 +54,6 @@ class ExperimentConfig:
     stream: SyntheticStreamSpec | StreamFiles
     mode: str = "method"
     sampler: str = "pbes"
-    randp_pool: int | None = None
     memory_budget: int = 0
     classifier: str = "argmax"
     loss: LossConfig = field(default_factory=LossConfig)
@@ -63,7 +62,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in EXPERIMENT_MODES:
             raise ValidationError(f"unknown experiment mode {self.mode!r}")
-        check_sampler(self.sampler, self.randp_pool)
+        check_sampler(self.sampler)
         if self.classifier not in ("argmax", "ncm"):
             raise ValidationError(f"unknown classifier mode {self.classifier!r}")
         if self.memory_budget < 0:
@@ -129,12 +128,10 @@ def _run_budget(config: ExperimentConfig, stream: TaskStream, augmented) -> list
             stored = memory.stored_points()
             if stored is not None:
                 blocks.append(stored)
-        labels = np.concatenate([y for _, y in blocks])
         batch = TrainingBatch(
             inputs=np.vstack([X for X, _ in blocks]),
-            labels=labels,
+            labels=np.concatenate([y for _, y in blocks]),
             class_ids=tuple(model.class_ids) + new_ids,
-            exemplar_mask=np.arange(len(labels)) >= len(labels) - memory.total_stored(),
         )
         # Models are never mutated, so the previous model is the teacher.
         teacher = model if config.mode == "method" else None
@@ -144,9 +141,7 @@ def _run_budget(config: ExperimentConfig, stream: TaskStream, augmented) -> list
 
             def select(cid, rows, m):
                 rng = RngState(config.seed).derive("sampler", task_index, cid)
-                return sample(
-                    config.sampler, rows, m, rng=rng, pool_size=config.randp_pool
-                )
+                return sample(config.sampler, rows, m, rng=rng)
 
             # Exemplars come from the original (never augmented) new-class rows.
             memory = rebalance_memory(

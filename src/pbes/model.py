@@ -2,7 +2,8 @@
 
 The classifier head is trained with a combination of cross-entropy over all
 current classes (temperature 1) and, when a frozen teacher from the previous
-task exists, a distillation term over the old classes at temperature T > 1.
+task exists, a distillation term over the old classes at temperature T > 1 on
+every training row.
 The combined objective is ``beta * distill + (1 - beta) * cross_entropy``;
 both terms are sums over the batch, not means, so learning rates couple to
 batch size. Models are immutable values: training returns a new model.
@@ -69,11 +70,7 @@ class SoftmaxModel:
 class LossConfig:
     """Hyperparameters of the combined objective and its gradient descent.
 
-    ``batch_size`` 0 means full batch. ``distill_scope`` chooses whether the
-    distillation sum ranges over every training row ("all") or only rows
-    flagged as replayed exemplars ("exemplars_only"). ``ce_shared_temperature``
-    switches the cross-entropy term from temperature 1 to the distillation
-    temperature (the alternative literal reading of the combined objective).
+    ``batch_size`` 0 means full batch.
     """
 
     temperature: float = 2.0
@@ -81,8 +78,6 @@ class LossConfig:
     learning_rate: float = 0.05
     epochs: int = 300
     batch_size: int = 0
-    distill_scope: str = "all"
-    ce_shared_temperature: bool = False
 
     def __post_init__(self):
         if not 1.0 < self.temperature < math.inf:
@@ -98,11 +93,6 @@ class LossConfig:
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.distill_scope not in ("all", "exemplars_only"):
-            raise ValidationError(f"unknown distill scope {self.distill_scope!r}")
-
-    def ce_temperature(self) -> float:
-        return self.temperature if self.ce_shared_temperature else 1.0
 
 
 @dataclass(frozen=True)
@@ -110,14 +100,12 @@ class TrainingBatch:
     """Inputs with integer labels over an ordered list of distinct class ids.
 
     Each label is one of ``class_ids``; its position there is the label's
-    logit column. ``exemplar_mask`` marks rows replayed from memory (used by
-    the "exemplars_only" distillation scope); None means no rows are marked.
+    logit column.
     """
 
     inputs: np.ndarray  # (n, features)
     labels: np.ndarray  # (n,) class ids
     class_ids: tuple[int, ...]
-    exemplar_mask: np.ndarray | None = None
 
     def __post_init__(self):
         X = self.inputs
@@ -133,10 +121,6 @@ class TrainingBatch:
             raise ValidationError(
                 f"labels {stray.tolist()} not among class ids {self.class_ids}"
             )
-        if self.exemplar_mask is not None and self.exemplar_mask.shape != (
-            X.shape[0],
-        ):
-            raise ValidationError("exemplar mask must have one entry per row")
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -169,18 +153,8 @@ def _check_teacher(model: SoftmaxModel, teacher: SoftmaxModel) -> None:
         raise ValidationError("teacher class ids must prefix the student's")
 
 
-def _distill_rows(batch: TrainingBatch, config: LossConfig) -> np.ndarray:
-    if config.distill_scope == "exemplars_only":
-        if batch.exemplar_mask is None:
-            return np.zeros(len(batch), dtype=bool)
-        return batch.exemplar_mask.astype(bool)
-    return np.ones(len(batch), dtype=bool)
-
-
-def _softmax_columns(z: np.ndarray, temperature: float) -> np.ndarray:
-    """Temperature softmax down each column of ``z``, computed in place."""
-    if temperature != 1.0:
-        z /= temperature
+def _softmax_columns(z: np.ndarray) -> np.ndarray:
+    """Softmax down each column of ``z``, computed in place."""
     z -= np.maximum.reduce(z, axis=0)
     np.exp(z, out=z)
     z /= np.add.reduce(z, axis=0)
@@ -188,41 +162,34 @@ def _softmax_columns(z: np.ndarray, temperature: float) -> np.ndarray:
 
 
 def _coefficients(config: LossConfig) -> tuple[float, float, float]:
-    """The cross-entropy temperature, the distillation temperature and
-    1 - beta, which :func:`_gradient` reads on every step."""
-    return config.ce_temperature(), config.temperature, 1.0 - config.beta
+    """The distillation temperature T, 1 - beta and beta / T, which
+    :func:`_gradient` reads on every step."""
+    return config.temperature, 1.0 - config.beta, config.beta / config.temperature
 
 
-def _gradient(Xa, Yt, Wa, qt, weight, coefficients):
+def _gradient(Xa, Yt, Wa, qt, coefficients):
     """Gradient of the combined loss in ``[dW | db]`` form; the one gradient formula.
 
     ``Xa = [X | 1]`` and ``Wa = [W | b]`` fold the bias into the products.
     Logits, targets and the gradient are (classes, rows) arrays, so each
-    softmax reduces down columns. ``Yt`` holds the 0/1 labels. ``qt`` is the
-    teacher's softened distribution, 0 in the columns of rows that are not
-    distilled, or None when there is no teacher (beta is then 0); it has zero
-    height when no row of the slice is distilled. ``weight`` is beta / T on
-    distilled rows and 0 on the others, where the term adds ``+0.0``: their
-    entries keep their bits, but for a ``-0.0`` (scale 0 at beta 1), whose
-    sign the final product drops anyway, as its sums start from ``+0.0``.
+    softmax reduces down columns. ``Yt`` holds the 0/1 labels and ``qt`` the
+    teacher's softened distribution, or None when there is no teacher (beta
+    is then 0).
     """
-    ce_temp, temp, keep = coefficients
+    temp, keep, weight = coefficients
     z = Wa @ Xa.T
     if z.size == 0:
         raise ValidationError("softmax needs at least one logit")
-    k_old = 0 if qt is None else qt.shape[0]
-    if k_old:
-        p = z[:k_old] / temp  # a new array: the next line overwrites z
-    _softmax_columns(z, ce_temp)
+    if qt is not None:
+        p = z[: len(qt)] / temp  # a new array: the next line overwrites z
+    _softmax_columns(z)
     z -= Yt
-    scale = (1.0 if qt is None else keep) / ce_temp
-    if scale != 1.0:
-        z *= scale
-    if k_old:
-        p = _softmax_columns(p, 1.0)
+    if qt is not None:
+        z *= keep
+        p = _softmax_columns(p)
         p -= qt
         p *= weight
-        z[:k_old] += p
+        z[: len(qt)] += p
     return z @ Xa
 
 
@@ -233,14 +200,14 @@ def _steps(
     config: LossConfig,
     batch_size: int,
 ) -> list[tuple]:
-    """The fixed ``(Xa, Yt, qt, weight)`` arguments of :func:`_gradient`, one per slice.
+    """The fixed ``(Xa, Yt, qt)`` arguments of :func:`_gradient`, one per slice.
 
     Slices of ``batch_size`` rows (0 means the whole batch) run in order; a
     0-row batch still yields one empty slice, which :func:`_gradient` rejects.
     Each slice's inputs carry a column of ones, ``Xa = [X | 1]``. The teacher
-    is checked once and its softened distribution computed on each slice's
-    distilled rows, since a frozen teacher never changes. Labels and soft
-    targets are stored transposed, one row per class.
+    is checked once and its softened distribution computed on each slice,
+    since a frozen teacher never changes. Labels and soft targets are stored
+    transposed, one row per class.
     """
     X = np.asarray(data.inputs, dtype=np.float64)
     Xa = np.hstack([X, np.ones((X.shape[0], 1))])
@@ -249,18 +216,12 @@ def _steps(
     size = batch_size or n
     slices = [slice(start, start + size) for start in range(0, n, size)]
     if teacher is None or teacher.num_classes == 0:
-        return [(Xa[sl], np.ascontiguousarray(Yt[:, sl]), None, None) for sl in slices]
+        return [(Xa[sl], np.ascontiguousarray(Yt[:, sl]), None) for sl in slices]
     _check_teacher(model, teacher)
-    rows = _distill_rows(data, config)
-    weight = np.where(rows, config.beta / config.temperature, 0.0)
     steps = []
     for sl in slices:
-        rows_s = rows[sl]
-        qt = np.zeros((teacher.num_classes if rows_s.any() else 0, len(rows_s)))
-        if len(qt):
-            q = softmax_with_temperature(teacher.logits(X[sl][rows_s]), config.temperature)
-            qt[:, rows_s] = q.T
-        steps.append((Xa[sl], np.ascontiguousarray(Yt[:, sl]), qt, weight[sl]))
+        q = softmax_with_temperature(teacher.logits(X[sl]), config.temperature)
+        steps.append((Xa[sl], np.ascontiguousarray(Yt[:, sl]), np.ascontiguousarray(q.T)))
     return steps
 
 
@@ -278,9 +239,9 @@ def loss_gradient(
         raise ValidationError(
             f"label width {len(batch.class_ids)} != model classes {model.num_classes}"
         )
-    [(Xa, Yt, qt, weight)] = _steps(model, teacher, batch, config, 0)
+    [(Xa, Yt, qt)] = _steps(model, teacher, batch, config, 0)
     Wa = np.hstack([model.weights, model.bias[:, None]])
-    g = _gradient(Xa, Yt, Wa, qt, weight, _coefficients(config))
+    g = _gradient(Xa, Yt, Wa, qt, _coefficients(config))
     return g[:, :-1], g[:, -1]
 
 
@@ -329,8 +290,8 @@ def train_task(
     with np.errstate(over="ignore", invalid="ignore"):
         steps = _steps(model, teacher, data, config, config.batch_size)
         for _ in range(config.epochs):
-            for Xa, Yt, qt, weight in steps:
-                g = _gradient(Xa, Yt, Wa, qt, weight, coefficients)
+            for Xa, Yt, qt in steps:
+                g = _gradient(Xa, Yt, Wa, qt, coefficients)
                 g *= rate
                 Wa -= g
     # A non-finite entry stays non-finite under ``Wa -= rate * g``: inf - x

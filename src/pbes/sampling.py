@@ -167,25 +167,18 @@ def pbes_sample(X, m: int) -> ExemplarSelection:
     return ExemplarSelection("pbes", tuple(indices), appended, basis.source, basis.rank)
 
 
-def randp_sample(
-    X, m: int, rng: RngState, pool_size: int | None = None
-) -> ExemplarSelection:
+def randp_sample(X, m: int, rng: RngState) -> ExemplarSelection:
     """Median selection along seeded random unit directions.
 
     Control variant of :func:`pbes_sample`: the loop, parity rule, and median
-    rule are identical, only the directions differ. ``pool_size`` is the
-    number of random directions (defaults to the pass count); if the loop
-    needs more passes than the pool holds, directions cycle. Directions past
-    the pass count would never be read, and draws come in sequence from one
-    generator, so only ``min(pool_size, passes)`` are drawn: every pool of at
-    least the pass count selects the same rows.
+    rule are identical, only the directions differ: one random direction is
+    drawn per pass.
     """
-    check_sampler("randp", pool_size)
     A = as_data_matrix(X)
     n, d = A.shape
     _check_request(m, n)
     passes = direction_count(n, m)
-    basis = random_unit_directions(d, min(pool_size or passes, passes), rng)
+    basis = random_unit_directions(d, passes, rng)
     indices, appended = _median_select(A, basis.directions, passes, m)
     return ExemplarSelection("randp", tuple(indices), appended, basis.source)
 
@@ -309,25 +302,15 @@ def random_sample(X, m: int, rng: RngState) -> ExemplarSelection:
 SAMPLER_NAMES = ("pbes", "randp", "herding", "random")
 
 
-def check_sampler(method: str, pool_size: int | None) -> None:
-    """The sampler rules that :func:`sample` and a run config share."""
+def check_sampler(method: str) -> None:
+    """The sampler-name rule that :func:`sample` and a run config share."""
     if method not in SAMPLER_NAMES:
         raise ValidationError(f"unknown sampler {method!r}")
-    if pool_size is not None and method != "randp":
-        raise ValidationError("randp_pool only applies to the randp sampler")
-    if pool_size is not None and pool_size < 1:
-        raise ValidationError(f"randp_pool must be >= 1, got {pool_size}")
 
 
-def sample(
-    method: str,
-    X,
-    m: int,
-    rng: RngState | None = None,
-    pool_size: int | None = None,
-) -> ExemplarSelection:
+def sample(method: str, X, m: int, rng: RngState | None = None) -> ExemplarSelection:
     """Dispatch to a sampler by name; randp/random require an RngState."""
-    check_sampler(method, pool_size)
+    check_sampler(method)
     if method == "pbes":
         return pbes_sample(X, m)
     if method == "herding":
@@ -335,5 +318,5 @@ def sample(
     if rng is None:
         raise ValidationError(f"{method} sampling requires a seed")
     if method == "randp":
-        return randp_sample(X, m, rng, pool_size)
+        return randp_sample(X, m, rng)
     return random_sample(X, m, rng)

@@ -157,24 +157,30 @@ class SyntheticStreamSpec:
                 f"synthetic stream too large: {source} gives {rows} rows, times "
                 f"dims {self.dims} exceeds {MAX_SYNTHETIC_VALUES} values"
             )
-        for c, s in enumerate(self.class_sizes()):
-            if s < 2:
-                raise ValidationError(
-                    f"class {c} has size {s}; need >= 2 for a train/test split"
-                )
+        # The first class below 2 rows, without building the list of sizes:
+        # given sizes are scanned, and the formula's never grow with the
+        # class index (all are below 2 when class 0 is), so it is bisected.
+        lo, hi = 0, self.classes
+        if self.per_class_sizes is not None:
+            lo = hi = next((c for c, s in enumerate(self.per_class_sizes) if s < 2), hi)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if self._size(mid) < 2 else (mid + 1, hi)
+        if lo < self.classes:
+            raise ValidationError(
+                f"class {lo} has size {self._size(lo)}; need >= 2 for a train/test split"
+            )
+
+    def _size(self, c: int) -> int:
+        if self.per_class_sizes is not None:
+            return int(self.per_class_sizes[c])
+        if self.classes == 1:
+            return self.class_size
+        low = 1.0 / self.imbalance_ratio
+        return int(round(self.class_size * (1.0 + (low - 1.0) * c / (self.classes - 1))))
 
     def class_sizes(self) -> list[int]:
-        if self.per_class_sizes is not None:
-            sizes = [int(s) for s in self.per_class_sizes]
-        elif self.classes == 1:
-            sizes = [self.class_size]
-        else:
-            low = 1.0 / self.imbalance_ratio
-            sizes = [
-                int(round(self.class_size * (1.0 + (low - 1.0) * c / (self.classes - 1))))
-                for c in range(self.classes)
-            ]
-        return sizes
+        return [self._size(c) for c in range(self.classes)]
 
 
 def _plane_basis(dims: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

@@ -16,11 +16,10 @@ from pbes.model import (
     SoftmaxModel,
     TrainingBatch,
     _check_teacher,
-    _distill_rows,
     _extend_for_new_classes,
     softmax_with_temperature,
 )
-from pbes.numerics import RANK_TOLERANCE, covariance, random_unit_directions, sign_normalize
+from pbes.numerics import RANK_TOLERANCE, covariance, sign_normalize
 from pbes.sampling import _median_select, direction_count
 
 _PROB_FLOOR = 1e-300
@@ -321,15 +320,13 @@ def label_rows(batch: TrainingBatch) -> np.ndarray:
     return rows
 
 
-def cross_entropy_loss(
-    batch: TrainingBatch, model: SoftmaxModel, temperature: float = 1.0
-) -> float:
-    """Summed cross-entropy over all current classes (temperature 1 by default)."""
+def cross_entropy_loss(batch: TrainingBatch, model: SoftmaxModel) -> float:
+    """Summed cross-entropy over all current classes at temperature 1."""
     if len(batch.class_ids) != model.num_classes:
         raise ValidationError(
             f"label width {len(batch.class_ids)} != model classes {model.num_classes}"
         )
-    probs = softmax_with_temperature(model.logits(batch.inputs), temperature)
+    probs = softmax_with_temperature(model.logits(batch.inputs))
     return float(-(label_rows(batch) * np.log(np.maximum(probs, _PROB_FLOOR))).sum())
 
 
@@ -362,32 +359,17 @@ def combine_losses(distill: float, cross_entropy: float, beta: float) -> float:
 def combined_loss(batch, model, teacher, config) -> float:
     """The value whose gradient ``pbes.model.loss_gradient`` computes.
 
-    Cross-entropy plus distillation against the teacher, beta-weighted;
-    without a teacher (first task) the result is the plain cross-entropy,
-    i.e. beta is treated as 0.
+    Cross-entropy plus distillation against the teacher on every row,
+    beta-weighted; without a teacher (first task) the result is the plain
+    cross-entropy, i.e. beta is treated as 0.
     """
-    ce = cross_entropy_loss(batch, model, config.ce_temperature())
+    ce = cross_entropy_loss(batch, model)
     if teacher is None or teacher.num_classes == 0:
         return ce
     _check_teacher(model, teacher)
-    rows = _distill_rows(batch, config)
-    if not rows.any():
-        distill = 0.0
-    else:
-        student = model.logits(batch.inputs[rows])[:, : teacher.num_classes]
-        distill = distillation_loss(
-            student, teacher.logits(batch.inputs[rows]), config.temperature
-        )
+    student = model.logits(batch.inputs)[:, : teacher.num_classes]
+    distill = distillation_loss(student, teacher.logits(batch.inputs), config.temperature)
     return combine_losses(distill, ce, config.beta)
-
-
-def randp_full_pool(X, m, rng, pool_size):
-    """randp selection with every one of ``pool_size`` directions drawn."""
-    A = np.asarray(X, dtype=float)
-    passes = direction_count(A.shape[0], m)
-    basis = random_unit_directions(A.shape[1], pool_size, rng)
-    indices, appended = _median_select(A, basis.directions, passes, m)
-    return tuple(indices), appended
 
 
 def finite_difference_gradient(fun, W, b, eps=1e-5):
@@ -410,89 +392,80 @@ def finite_difference_gradient(fun, W, b, eps=1e-5):
     return gW, gb
 
 
-def gradient_reference(Xa, Y, Wa, rows, q, config):
+def gradient_reference(Xa, Y, Wa, q, config):
     """The training kernel in row form, as (classes, features + 1) ``[dW | db]``.
 
     ``Xa = [X | 1]`` and ``Wa = [W | b]``. The logits are the transposed view
     ``(Wa @ Xa.T).T``, so :func:`softmax_with_temperature` sums each row in
     the order numpy gives a strided transpose: one class after another, as
-    the kernel's sums down columns run. The teacher-prefix softmax covers
-    every row and the distilled ones are picked from it by the mask.
+    the kernel's sums down columns run.
     """
     logits = (Wa @ Xa.T).T
-    ce_temp = config.ce_temperature()
     keep = 1.0 if q is None else 1.0 - config.beta
     # Laid out class by class, as the kernel's (classes, rows) array is: BLAS
     # rounds the final product differently from the row-by-row layout.
-    grad_logits = np.subtract(softmax_with_temperature(logits, ce_temp), Y, order="F")
-    grad_logits *= keep / ce_temp
-    if q is not None and len(q):
+    grad_logits = np.subtract(softmax_with_temperature(logits), Y, order="F")
+    grad_logits *= keep
+    if q is not None:
         k_old = q.shape[1]
         temp = config.temperature
-        p = softmax_with_temperature(logits[:, :k_old], temp)[rows]
-        grad_logits[rows, :k_old] += (p - q) * (config.beta / temp)
+        p = softmax_with_temperature(logits[:, :k_old], temp)
+        grad_logits[:, :k_old] += (p - q) * (config.beta / temp)
     return grad_logits.T @ Xa
 
 
-def gradient_former(X, Y, W, b, rows, q, config):
-    """The training kernel before the bias was folded into the products,
-    verbatim: (n, classes) logits, two calls of ``softmax_with_temperature``
-    and a zero-filled distillation term. Returns (dW, db)."""
+def gradient_former(X, Y, W, b, q, config):
+    """The training kernel before the bias was folded into the products:
+    (n, classes) logits, two calls of ``softmax_with_temperature`` and a
+    zero-filled distillation term. Returns (dW, db)."""
     logits = X @ W.T + b
-    ce_temp = config.ce_temperature()
-    probs = softmax_with_temperature(logits, ce_temp)
+    probs = softmax_with_temperature(logits)
     if q is None:
-        grad_logits = (probs - Y) / ce_temp
+        grad_logits = probs - Y
     else:
-        grad_logits = (1.0 - config.beta) * (probs - Y) / ce_temp
-        if len(q):
-            k_old = q.shape[1]
-            temp = config.temperature
-            p = softmax_with_temperature(logits[rows][:, :k_old], temp)
-            distill_grad = np.zeros_like(grad_logits[rows])
-            distill_grad[:, :k_old] = (p - q) / temp
-            grad_logits[rows] += config.beta * distill_grad
+        grad_logits = (1.0 - config.beta) * (probs - Y)
+        k_old = q.shape[1]
+        temp = config.temperature
+        p = softmax_with_temperature(logits[:, :k_old], temp)
+        distill_grad = np.zeros_like(grad_logits)
+        distill_grad[:, :k_old] = (p - q) / temp
+        grad_logits += config.beta * distill_grad
     return grad_logits.T @ X, grad_logits.sum(axis=0)
 
 
 def _gradient_terms(batch, model, teacher, config):
-    """(X, labels, distilled-row mask, teacher targets) of one gradient, built
-    on the spot: the mask is None without a teacher, the labels come from
-    :func:`label_rows`, and the targets are None without a teacher."""
+    """(X, labels, teacher targets) of one gradient, built on the spot: the
+    labels come from :func:`label_rows`, and the targets are None without a
+    teacher."""
     if len(batch.class_ids) != model.num_classes:
         raise ValidationError(
             f"label width {len(batch.class_ids)} != model classes {model.num_classes}"
         )
     X = np.asarray(batch.inputs, dtype=np.float64)
-    rows = q = None
+    q = None
     if teacher is not None and teacher.num_classes:
         _check_teacher(model, teacher)
-        rows = _distill_rows(batch, config)
-        if rows.any():
-            q = softmax_with_temperature(teacher.logits(X[rows]), config.temperature)
-        else:
-            q = np.zeros((0, teacher.num_classes))
-    return X, label_rows(batch), rows, q
+        q = softmax_with_temperature(teacher.logits(X), config.temperature)
+    return X, label_rows(batch), q
 
 
 def loss_gradient_reference(batch, model, teacher, config):
     """``pbes.model.loss_gradient`` with its setup written out on the spot.
 
-    Distilled rows are always picked by a boolean mask, never by the slice
-    the library uses when every row is distilled, the labels are encoded by
-    :func:`label_rows`, and the gradient is :func:`gradient_reference`.
+    The labels are encoded by :func:`label_rows`, and the gradient is
+    :func:`gradient_reference`.
     """
-    X, Y, rows, q = _gradient_terms(batch, model, teacher, config)
+    X, Y, q = _gradient_terms(batch, model, teacher, config)
     Xa = np.hstack([X, np.ones((X.shape[0], 1))])
     Wa = np.hstack([model.weights, model.bias[:, None]])
-    g = gradient_reference(Xa, Y, Wa, rows, q, config)
+    g = gradient_reference(Xa, Y, Wa, q, config)
     return g[:, :-1], g[:, -1]
 
 
 def loss_gradient_former(batch, model, teacher, config):
     """(dW, db) of :func:`gradient_former` on the same terms."""
-    X, Y, rows, q = _gradient_terms(batch, model, teacher, config)
-    return gradient_former(X, Y, model.weights, model.bias, rows, q, config)
+    X, Y, q = _gradient_terms(batch, model, teacher, config)
+    return gradient_former(X, Y, model.weights, model.bias, q, config)
 
 
 def train_task_reference(model, teacher, data, config):
@@ -519,14 +492,7 @@ def train_task_reference(model, teacher, data, config):
         for _ in range(config.epochs):
             for sl in slices:
                 current = SoftmaxModel(W, b, data.class_ids)
-                sub = TrainingBatch(
-                    inputs=data.inputs[sl],
-                    labels=data.labels[sl],
-                    class_ids=data.class_ids,
-                    exemplar_mask=None
-                    if data.exemplar_mask is None
-                    else data.exemplar_mask[sl],
-                )
+                sub = TrainingBatch(data.inputs[sl], data.labels[sl], data.class_ids)
                 grad_w, grad_b = loss_gradient_reference(sub, current, teacher, config)
                 W = W - config.learning_rate * grad_w
                 b = b - config.learning_rate * grad_b

@@ -415,3 +415,25 @@ class TestImageFormats:
         values.flat[-1] = sign * float(np.finfo(np.float32).max)
         write(path, values)
         assert np.array_equal(read(path), values)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: Region(0, 0, 0, 2), "region extent must be >= 1", id="extent"),
+        pytest.param(lambda: Region(0, -1, 1, 1), "region corner must be >= 0", id="corner"),
+        pytest.param(
+            lambda: augment_class_records([np.ones((1, 2, 2))], -1, RngState(0)),
+            "augment count must be >= 0, got -1", id="negative_count",
+        ),
+        pytest.param(
+            lambda: augment_class_records(
+                [np.ones((1, 2, 2))] * 2, 1, RngState(0), saliencies=[np.ones((2, 2))]
+            ),
+            "need one saliency map per image", id="saliency_count",
+        ),
+    ],
+)
+def test_malformed_arguments_are_validation_errors(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()

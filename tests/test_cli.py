@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -230,33 +231,6 @@ class TestSample:
         assert "c.pbim has shape (1, 3, 2)" in err
         assert "a.pbim has shape (1, 2, 2)" in err
 
-    @pytest.mark.parametrize("method", ["pbes", "herding", "random"])
-    def test_randp_pool_needs_randp(self, tmp_path, capsys, five_point_csv, method):
-        assert run_cli("sample", "--input", five_point_csv, "--method", method, "--m", 1,
-                       "--seed", 0, "--randp-pool", 5, "--out", tmp_path / "sel") == 2
-        assert "randp_pool only applies to the randp sampler" in capsys.readouterr().err
-        assert not (tmp_path / "sel").exists()
-
-    def test_randp_pool_below_one_is_named_as_in_a_run(self, tmp_path, capsys,
-                                                      five_point_csv):
-        assert run_cli("sample", "--input", five_point_csv, "--method", "randp", "--m", 1,
-                       "--seed", 0, "--randp-pool", 0, "--out", tmp_path / "sel") == 2
-        assert "randp_pool must be >= 1, got 0" in capsys.readouterr().err
-        assert not (tmp_path / "sel").exists()
-
-    def test_randp_pool_beyond_pass_count_changes_nothing(self, tmp_path):
-        # m = 5 of 40 rows needs 3 passes; only that many directions are drawn.
-        path = tmp_path / "points.csv"
-        rows = np.random.default_rng(40).normal(size=(40, 5))
-        write_dataset_csv(path, LabeledDataset(rows, [0] * 40))
-        picked = []
-        for i, pool in enumerate([[], ["--randp-pool", 10**12]]):
-            out = tmp_path / f"sel{i}"
-            assert run_cli("sample", "--input", path, "--method", "randp", "--m", 5,
-                           "--seed", 7, *pool, "--out", out) == 0
-            picked.append((out / "indices.txt").read_bytes())
-        assert picked[0] == picked[1]
-
     @pytest.mark.parametrize(
         "value,method",
         [(1e200, "pbes"), (1e200, "herding"), (1e308, "pbes"), (1e308, "herding"),
@@ -474,6 +448,7 @@ class TestOverrides:
         "overrides, field",
         [
             pytest.param({"sampler": "bogus"}, "sampler", id="sampler"),
+            # randp_pool is not a config key, whatever its value.
             pytest.param({"randp_pool": 2}, "randp_pool", id="pool_without_randp"),
             pytest.param({"sampler": "randp", "randp_pool": 0}, "randp_pool", id="pool_zero"),
             pytest.param({"classifier": "knn"}, "classifier", id="classifier"),
@@ -521,7 +496,10 @@ class TestOverrides:
             pytest.param(
                 {"loss": {"temperature": 10**400}}, "loss.temperature", id="float_overflow"
             ),
-            pytest.param({"randp_pool": "3"}, "randp_pool", id="optional_int_str"),
+            pytest.param(
+                {"augmentation": {"region_height": "3"}}, "augmentation.region_height",
+                id="optional_int_str",
+            ),
             pytest.param(
                 {"stream": {"synthetic": {"classes": 4, "tasks": 2,
                                           "per_class_sizes": "1234"}}},
@@ -639,6 +617,16 @@ class TestOverrides:
         assert run_cli("run", "--config", config, "--out", tmp_path / "m.csv") == 2
         err = capsys.readouterr().err
         assert "too large" in err and field in err
+
+    def test_empty_classes_found_without_listing_them(self, tmp_path, capsys):
+        # 10^9 classes of size 0 pass the 10^8-value bound; the first class
+        # below 2 rows is found without building a list of 10^9 sizes.
+        stream = {"synthetic": {"classes": 10**9, "tasks": 1, "class_size": 0}}
+        config = minimal_config(tmp_path, stream=stream)
+        started = time.perf_counter()
+        assert run_cli("run", "--config", config, "--out", tmp_path / "m.csv") == 2
+        assert time.perf_counter() - started < 1.0
+        assert "error: stream.synthetic: class 0 has size 0;" in capsys.readouterr().err
 
     def test_non_object_section_is_validation_error(self, tmp_path):
         config = minimal_config(tmp_path, loss=[1, 2, 3])
@@ -800,11 +788,10 @@ FUZZ_CONFIG = {
     "seed": 3,
     "mode": "method",
     "sampler": "randp",
-    "randp_pool": 4,
     "memory_budget": 6,
     "classifier": "ncm",
     "loss": {"temperature": 2.0, "beta": 0.5, "learning_rate": 0.001, "epochs": 2,
-             "batch_size": 4, "distill_scope": "all", "ce_shared_temperature": False},
+             "batch_size": 4},
     "augmentation": {"enabled": True, "region_height": 1, "region_width": 1,
                      "mode": "randomized", "tau": 0.5},
     "stream": {"synthetic": {"classes": 4, "tasks": 2, "class_size": 10,
@@ -817,7 +804,7 @@ FUZZ_FILES_CONFIG = {**FUZZ_CONFIG, "stream": {"files": {"manifest": "data/strea
 # Replacement JSON values; ints stay <= 2 so that no mutated run trains long.
 FUZZ_VALUES = st.sampled_from([
     None, True, False, -1, 0, 1, 2, 0.5, -1.5, 2.7, "", "x", "false", "\x00",
-    "finetune", "upperbound", "herding", "exemplars_only", "deterministic",
+    "finetune", "upperbound", "herding", "deterministic",
     "task_001_train.csv", "missing.csv", [], [1, 2], ["a"], {}, {"extra": 1},
 ])
 FUZZ_CELLS = st.sampled_from(
@@ -910,14 +897,29 @@ def _exit_code(argv):
     return code
 
 
+def _write_fuzz_stream(tmp):
+    """The stream that ``FUZZ_FILES_CONFIG`` names, under ``tmp``; its manifest path."""
+    spec = SyntheticStreamSpec(classes=4, tasks=2, class_size=10, dims=3)
+    return write_stream(tmp / "data", generate_synthetic_stream(spec, 5))
+
+
+@pytest.mark.parametrize("config", [FUZZ_CONFIG, FUZZ_FILES_CONFIG], ids=["synthetic", "files"])
+def test_fuzz_base_configs_run(tmp_path, config):
+    # Every mutation starts from these: a base config that exits 2 would leave
+    # the fuzzer no path to a run.
+    _write_fuzz_stream(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    assert _exit_code(["run", "--config", tmp_path / "config.json",
+                       "--out", tmp_path / "m.csv"]) == 0
+
+
 @settings(max_examples=50, derandomize=True, database=None)
 @given(data=st.data(), target=st.sampled_from(["config", "files_config", "manifest", "csv"]))
 def test_mutated_inputs_end_in_documented_exit_codes(data, target):
     """Malformed configs, manifests and CSVs end in exit 2, 3 or 4, never a traceback."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        spec = SyntheticStreamSpec(classes=4, tasks=2, class_size=10, dims=3)
-        manifest = write_stream(tmp / "data", generate_synthetic_stream(spec, 5))
+        manifest = _write_fuzz_stream(tmp)
         config = FUZZ_CONFIG if target == "config" else FUZZ_FILES_CONFIG
         if target in ("config", "files_config"):
             config = _mutate_json(data, config)

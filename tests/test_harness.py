@@ -127,12 +127,6 @@ class TestRunExperiment:
         a = format_metrics_rows(run_experiment(config))
         assert a == format_metrics_rows(run_experiment(config))
 
-    def test_exemplars_only_scope_runs(self):
-        rows = run_experiment(
-            tiny_config(loss=fast_loss(distill_scope="exemplars_only"))
-        )
-        assert len(rows) == 2
-
 
 class TestModeSemantics:
     def test_exemplars_come_from_original_rows(self, monkeypatch):
@@ -315,19 +309,12 @@ PINNED_CSV = {
             "3,0.761905,0.841931,0.729293,0.707107,0.000000",
         ),
     ),
-    "exemplars_only": (
-        dict(
-            loss=replace(
-                CSV_LOSS,
-                distill_scope="exemplars_only",
-                batch_size=4,
-                ce_shared_temperature=True,
-            )
-        ),
+    "batch_size_4": (
+        dict(loss=replace(CSV_LOSS, batch_size=4)),
         (
             "1,0.888889,0.888889,0.883117,0.866025,0.000000",
-            "2,0.750000,0.819444,0.709091,0.638943,0.000000",
-            "3,0.809524,0.816138,0.770298,0.741836,0.000000",
+            "2,0.812500,0.850694,0.793939,0.759836,0.000000",
+            "3,0.571429,0.757606,0.507937,0.000000,0.000000",
         ),
     ),
     "ncm": (

@@ -174,3 +174,12 @@ class TestMemoryViews:
         ids, means = memory.class_means()
         assert list(ids) == [1]
         assert np.array_equal(means[0], [2.0, 2.0])
+
+
+def test_selector_over_its_quota_is_validation_error():
+    # A selector that returns one pick more than asked would overfill the memory.
+    def greedy(cid, rows, m):
+        return ExemplarSelection("greedy", tuple(range(m + 1)))
+
+    with pytest.raises(ValidationError, match="memory holds 3 exemplars over its budget of 2"):
+        rebalance_memory(RehearsalMemory(), {0: class_points(1, 4)}, 2, greedy)

@@ -176,22 +176,6 @@ class TestCombinedLoss:
             batch, model
         )
 
-    def test_exemplar_scope_restricts_rows(self):
-        gen = np.random.default_rng(3)
-        ids = (0, 1)
-        model = SoftmaxModel(gen.normal(size=(2, 2)), gen.normal(size=2), ids)
-        teacher = SoftmaxModel(gen.normal(size=(1, 2)), gen.normal(size=1), (0,))
-        X = gen.normal(size=(3, 2))
-        mask = np.array([False, True, False])
-        batch = TrainingBatch(X, np.array([0, 1, 0]), ids, exemplar_mask=mask)
-        scoped = combined_loss(
-            batch, model, teacher, LossConfig(beta=1.0, distill_scope="exemplars_only")
-        )
-        manual = distillation_loss(
-            model.logits(X[1:2])[:, :1], teacher.logits(X[1:2]), 2.0
-        )
-        assert abs(scoped - manual) < 1e-12
-
 
 class TestLossGradient:
     def test_bias_gradient_rows_sum_to_zero_per_sample(self):
@@ -205,41 +189,17 @@ class TestLossGradient:
     @pytest.mark.parametrize("temp", [1.5, 2.0, 4.0])
     def test_matches_finite_differences(self, beta, temp):
         gen = np.random.default_rng(int(beta * 10) * 31 + int(temp * 10))
-        cases = [
-            {"distill_scope": "all"},
-            {"distill_scope": "exemplars_only"},
-            {"distill_scope": "all", "ce_shared_temperature": True},
-        ]
-        for extra in cases:
-            batch, model, teacher = random_instance(gen)
-            if extra["distill_scope"] == "exemplars_only":
-                mask = gen.integers(0, 2, size=len(batch)).astype(bool)
-                batch = TrainingBatch(
-                    batch.inputs, batch.labels, batch.class_ids, exemplar_mask=mask
-                )
-            config = LossConfig(beta=beta, temperature=temp, **extra)
+        batch, model, teacher = random_instance(gen)
+        config = LossConfig(beta=beta, temperature=temp)
 
-            def loss_at(W, b):
-                return combined_loss(
-                    batch, SoftmaxModel(W, b, model.class_ids), teacher, config
-                )
+        def loss_at(W, b):
+            return combined_loss(batch, SoftmaxModel(W, b, model.class_ids), teacher, config)
 
-            gW, gb = loss_gradient(batch, model, teacher, config)
-            fW, fb = finite_difference_gradient(loss_at, model.weights, model.bias)
-            scale = max(1.0, np.abs(fW).max(), np.abs(fb).max())
-            assert np.abs(gW - fW).max() / scale < 1e-5
-            assert np.abs(gb - fb).max() / scale < 1e-5
-
-    def test_shared_temperature_flag_changes_ce_term(self):
-        gen = np.random.default_rng(44)
-        batch, model, _ = random_instance(gen)
-        plain = combined_loss(batch, model, None, LossConfig(temperature=4.0))
-        shared = combined_loss(
-            batch, model, None, LossConfig(temperature=4.0, ce_shared_temperature=True)
-        )
-        assert plain == cross_entropy_loss(batch, model)
-        assert shared == cross_entropy_loss(batch, model, 4.0)
-        assert plain != shared
+        gW, gb = loss_gradient(batch, model, teacher, config)
+        fW, fb = finite_difference_gradient(loss_at, model.weights, model.bias)
+        scale = max(1.0, np.abs(fW).max(), np.abs(fb).max())
+        assert np.abs(gW - fW).max() / scale < 1e-5
+        assert np.abs(gb - fb).max() / scale < 1e-5
 
     def test_near_minimum_gradient_vanishes(self):
         ids = (0, 1)
@@ -366,16 +326,8 @@ def training_problems(draw):
     k_new = draw(st.integers(1, 6))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ids = tuple(range(k_old + k_new))
-    mask = draw(st.sampled_from(["none", "all_false", "mixed"]))
     batch = TrainingBatch(
-        _on_grid(gen.normal(scale=1.5, size=(n, d))),
-        gen.integers(0, len(ids), size=n),
-        ids,
-        exemplar_mask={
-            "none": None,
-            "all_false": np.zeros(n, dtype=bool),
-            "mixed": gen.random(n) < 0.5,
-        }[mask],
+        _on_grid(gen.normal(scale=1.5, size=(n, d))), gen.integers(0, len(ids), size=n), ids
     )
     old_ids = ids[:k_old]
     model = SoftmaxModel(
@@ -402,43 +354,17 @@ def training_problems(draw):
         learning_rate=draw(st.sampled_from([1e-3, 0.05, 0.5])),
         epochs=draw(st.integers(1, 4)),
         batch_size=batch_size,
-        distill_scope=draw(st.sampled_from(["all", "exemplars_only"])),
-        ce_shared_temperature=draw(st.booleans()),
     )
     return model, teacher, batch, config
 
 
-def _mask_versus_slice_problem():
-    """A teacher with old classes, exemplars_only scope and a mixed exemplar
-    mask: the one case where distilling a mask's rows differs from distilling
-    every row. training_problems() draws it rarely, so both tests name it."""
-    gen = np.random.default_rng(23)
-    ids = (0, 1, 2)
-    batch = TrainingBatch(
-        _on_grid(gen.normal(scale=1.5, size=(7, 3))),
-        np.array([0, 1, 2, 2, 1, 0, 2]),
-        ids,
-        exemplar_mask=np.array([True, False, True, False, False, True, True]),
-    )
-    model = SoftmaxModel(_on_grid(gen.normal(size=(2, 3))), _on_grid(gen.normal(size=2)), ids[:2])
-    teacher = SoftmaxModel(_on_grid(gen.normal(size=(2, 3))), _on_grid(gen.normal(size=2)), ids[:2])
-    config = LossConfig(
-        temperature=2.0, beta=0.5, learning_rate=0.05, epochs=2, batch_size=4,
-        distill_scope="exemplars_only",
-    )
-    return model, teacher, batch, config
-
-
-def _fixed_problem(k_old, k_new, n, batch_size=0, distill_scope="all", seed=0, d=3):
+def _fixed_problem(k_old, k_new, n, batch_size=0, seed=0, d=3):
     """A problem drawn like training_problems()'s, with a teacher whenever
-    there are old classes and a mixed exemplar mask."""
+    there are old classes."""
     gen = np.random.default_rng(seed)
     ids = tuple(range(k_old + k_new))
     batch = TrainingBatch(
-        _on_grid(gen.normal(scale=1.5, size=(n, d))),
-        gen.integers(0, len(ids), size=n),
-        ids,
-        exemplar_mask=gen.random(n) < 0.5,
+        _on_grid(gen.normal(scale=1.5, size=(n, d))), gen.integers(0, len(ids), size=n), ids
     )
     old_ids = ids[:k_old]
     model = SoftmaxModel(
@@ -448,18 +374,17 @@ def _fixed_problem(k_old, k_new, n, batch_size=0, distill_scope="all", seed=0, d
         _on_grid(gen.normal(size=(k_old, d))), _on_grid(gen.normal(size=k_old)), old_ids
     )
     config = LossConfig(
-        temperature=2.0, beta=0.5, learning_rate=0.05, epochs=2,
-        batch_size=batch_size, distill_scope=distill_scope,
+        temperature=2.0, beta=0.5, learning_rate=0.05, epochs=2, batch_size=batch_size
     )
     return model, teacher if k_old else None, batch, config
 
 
 # Eight classes (the first with 8 accumulators); ten, as in the blob
-# benchmark's last task, distilling exemplars only; a last slice of one row;
-# a model with a single class.
+# benchmark's last task, in slices of 7 rows; a last slice of one row; a
+# model with a single class.
 FIXED_PROBLEMS = (
     _fixed_problem(5, 3, 30, seed=1),
-    _fixed_problem(8, 2, 25, batch_size=7, distill_scope="exemplars_only", seed=2),
+    _fixed_problem(8, 2, 25, batch_size=7, seed=2),
     _fixed_problem(2, 2, 9, batch_size=4, seed=3),
     _fixed_problem(0, 1, 6, seed=4),
 )
@@ -488,7 +413,6 @@ class TestTrainTaskMatchesReference:
     the reference rebuilds and re-validates everything on every step."""
 
     @given(training_problems())
-    @example(_mask_versus_slice_problem())
     @example(FIXED_PROBLEMS[0])
     @example(FIXED_PROBLEMS[1])
     @example(FIXED_PROBLEMS[2])
@@ -513,11 +437,10 @@ class TestTrainTaskMatchesReference:
             _on_grid(gen.normal(size=(9, 3))), np.array([0, 1, 2] * 3), ids
         )
         teacher = SoftmaxModel(np.ones((2, 3)), np.zeros(2), ids[:2])
-        for scope in ("all", "exemplars_only"):
-            config = LossConfig(learning_rate=1e308, epochs=3, distill_scope=scope)
-            for train in (train_task, train_task_reference):
-                with pytest.raises(NumericalError):
-                    train(teacher, teacher, batch, config)
+        config = LossConfig(learning_rate=1e308, epochs=3)
+        for train in (train_task, train_task_reference):
+            with pytest.raises(NumericalError):
+                train(teacher, teacher, batch, config)
 
     def test_divergence_in_the_first_of_many_epochs_matches_the_reference(self):
         # Mini-batches of 4 over 20 rows: the parameters leave the float64
@@ -552,11 +475,10 @@ class TestTrainTaskMatchesReference:
 
 
 class TestLossGradientMatchesReference:
-    """loss_gradient shares train_task's step builder; the reference selects
-    distilled rows by a mask and encodes labels with a loop."""
+    """loss_gradient shares train_task's step builder; the reference encodes
+    labels with a loop."""
 
     @given(training_problems())
-    @example(_mask_versus_slice_problem())
     @example(FIXED_PROBLEMS[0])
     @example(FIXED_PROBLEMS[1])
     @example(FIXED_PROBLEMS[2])
@@ -588,7 +510,7 @@ def _former_gap_bound(batch, student, teacher):
     and each probability within p (e^(2 eta_i) - 1) of exact, plus (k + 8)u
     for exp, the sum and the divide. The cross-entropy and distillation
     terms of a gradient-of-logits entry are p - y and p' - q, weighted by
-    (1 - beta)/T_ce and beta/T, which add to at most 1. So |G| <= 1, and with
+    1 - beta and beta/T, which add to at most 1. So |G| <= 1, and with
     a few more roundings each kernel's G is within E_i = 2(e^(2 eta_i) - 1)
     + 2(k + 16)u of exact. The final products add gamma(n) sum_i (1 + E_i)
     |Xa_i| each. The teacher's targets are the same arrays in both kernels.
@@ -613,7 +535,6 @@ class TestLossGradientAgreesWithTheFormerKernel:
     by no more than rounding can explain."""
 
     @given(training_problems())
-    @example(_mask_versus_slice_problem())
     @example(FIXED_PROBLEMS[0])
     @example(FIXED_PROBLEMS[1])
     @example(BENCHMARK_PROBLEMS[0])
@@ -677,7 +598,7 @@ class TestNumpyColumnSumOrder:
     def test_softmax_equals_the_row_softmax_of_the_transpose(self, E, temperature):
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             expected = softmax_with_temperature(E.T, temperature).T
-            assert _bits(_softmax_columns(E.copy(), temperature)) == _bits(expected)
+            assert _bits(_softmax_columns(E / temperature)) == _bits(expected)
 
 
 class _MeanMemory:
@@ -737,10 +658,6 @@ class TestLossConfigValidation:
         with pytest.raises(ValidationError):
             LossConfig(beta=1.5)
 
-    def test_rejects_bad_scope(self):
-        with pytest.raises(ValidationError):
-            LossConfig(distill_scope="sometimes")
-
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -793,3 +710,31 @@ class TestLabelEncoding:
         trained = train_task(model, None, permuted, config)
         reference = train_task(same, None, renamed, config)
         assert np.array_equal(trained.weights, reference.weights)
+
+
+ONE_CLASS = SoftmaxModel(np.zeros((1, 2)), np.zeros(1), (0,))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: SoftmaxModel(np.zeros((2, 1)), np.zeros(3), (0, 1)),
+                     "inconsistent model shapes", id="bias_shape"),
+        pytest.param(lambda: SoftmaxModel(np.array([[np.nan]]), np.zeros(1), (0,)),
+                     "model parameters must be finite", id="not_finite"),
+        pytest.param(
+            lambda: loss_gradient(
+                TrainingBatch(np.ones((1, 2)), np.array([1]), (0, 1)), ONE_CLASS, None,
+                LossConfig(),
+            ),
+            "label width 2 != model classes 1", id="label_width",
+        ),
+        pytest.param(lambda: predict(SoftmaxModel.empty(2), np.zeros((1, 2))),
+                     "model has no classes", id="no_classes"),
+        pytest.param(lambda: predict(ONE_CLASS, np.zeros((1, 2)), mode="ncm"),
+                     "ncm classification requires a rehearsal memory", id="ncm_without_memory"),
+    ],
+)
+def test_malformed_arguments_are_validation_errors(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()

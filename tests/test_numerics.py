@@ -8,6 +8,7 @@ from pbes.numerics import (
     DirectionBasis,
     RngState,
     covariance,
+    finite_array,
     mean_vector,
     principal_directions,
     random_unit_directions,
@@ -262,3 +263,8 @@ class TestShuffledPrefix:
         m = data.draw(st.integers(1, n))
         assert shuffled_prefix(RngState(seed), n, m) == former_sampler_shuffle(RngState(seed), n, m)
         assert shuffled_prefix(RngState(seed), n, n) == former_augment_shuffle(RngState(seed), n)
+
+
+def test_finite_array_names_a_wrong_rank():
+    with pytest.raises(ValidationError, match=r"data matrix must be 2-D, got shape \(3,\)"):
+        finite_array([1.0, 2.0, 3.0], 2, "data matrix")

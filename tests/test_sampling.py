@@ -7,6 +7,7 @@ from pbes.benchmark import blob_stream_spec
 from pbes.errors import NumericalError, ValidationError
 from pbes.numerics import RANK_TOLERANCE, RngState, principal_directions
 from pbes.sampling import (
+    SAMPLER_NAMES,
     direction_count,
     herding_sample,
     pbes_sample,
@@ -20,7 +21,6 @@ from oracles import (
     cyclic_jacobi_basis,
     cyclic_jacobi_selection,
     greedy_herding,
-    randp_full_pool,
 )
 
 
@@ -120,6 +120,25 @@ class TestPbesSample:
             ]
         ) / 4
         assert pbes_sample(X, 1).ordered_indices == (2,)  # sorted 0, 2, 1
+
+    def test_rank_fallback_cycles_directions(self):
+        # Ten points on a plane in R^3: 8 of them need 4 passes over 2 directions.
+        gen = np.random.default_rng(9)
+        X = gen.normal(size=(10, 2)) @ gen.normal(size=(2, 3))
+        sel = pbes_sample(X, 8)
+        assert (sel.source, sel.rank) == ("fallback", 2)
+        directions = principal_directions(X, 4).directions
+        assert len(directions) == 2
+        remaining, appended = list(range(10)), []
+        for i in range(4):
+            proj = (X * directions[i % 2]).sum(axis=1)
+            ordered = sorted(remaining, key=lambda r: (proj[r], r))
+            size = len(ordered)
+            picks = ordered[(size - 1) // 2 : size // 2 + 1]
+            appended += picks
+            remaining = [r for r in remaining if r not in picks]
+        assert sel.ordered_indices == tuple(appended[:8])
+        assert sel.appended_count == len(appended) == 8
 
 
 def family_rows(family, n, d, gen):
@@ -260,30 +279,6 @@ class TestRandpSample:
                 assert sel.appended_count == expected
                 assert len(sel.ordered_indices) == m
 
-    def test_pool_size_cycles(self):
-        X = np.random.default_rng(9).normal(size=(10, 3))
-        sel = randp_sample(X, 8, RngState(5), pool_size=2)
-        assert len(sel.ordered_indices) == 8
-        with pytest.raises(ValidationError):
-            randp_sample(X, 4, RngState(5), pool_size=0)
-
-    @given(
-        st.integers(1, 24).flatmap(
-            lambda n: st.tuples(
-                st.just(n), st.integers(1, 4), st.integers(1, n), st.integers(1, 16)
-            )
-        ),
-        st.integers(0, 2**64 - 1),
-    )
-    def test_pool_matches_full_pool_draw(self, shape, seed):
-        # Pools below, at and above the pass count select as if all were drawn.
-        n, d, m, pool = shape
-        X = np.round(np.random.default_rng(seed).normal(size=(n, d)) * 2.0) / 2.0
-        sel = randp_sample(X, m, RngState(seed), pool_size=pool)
-        assert (sel.ordered_indices, sel.appended_count) == randp_full_pool(
-            X, m, RngState(seed), pool
-        )
-
 
 class TestHerdingSample:
     def test_hand_trace(self):
@@ -368,10 +363,34 @@ def test_sample_dispatch_requires_seed_for_stochastic():
         sample("nope", X, 2, rng=RngState(0))
 
 
-@pytest.mark.parametrize("method", ["pbes", "herding", "random"])
-def test_sample_pool_size_needs_randp(method):
-    with pytest.raises(ValidationError, match="randp_pool only applies to the randp sampler"):
-        sample(method, column([1, 2, 3]), 1, rng=RngState(0), pool_size=5)
+@st.composite
+def prefix_cases(draw):
+    """A class and a seed: Gaussian, on a 0.5 grid (tie-heavy), rank-deficient,
+    with duplicated rows, or Gaussian scaled by 2^500 or 2^-500."""
+    family = draw(st.sampled_from(
+        ["gaussian", "half_grid", "low_rank", "duplicated_rows", "huge", "tiny"]
+    ))
+    n = draw(st.integers(1, 24))
+    d = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    gen = np.random.default_rng(seed)
+    if family == "half_grid":
+        X = np.round(gen.normal(size=(n, d)) * 2.0) / 2.0
+    elif family in ("huge", "tiny"):
+        X = gen.normal(size=(n, d)) * 2.0 ** (500 if family == "huge" else -500)
+    else:
+        X = family_rows(family, n, d, gen)
+    return X, draw(st.integers(1, n)), seed
+
+
+@given(prefix_cases())
+def test_selections_are_prefix_consistent(case):
+    # pbes.memory shrinks a class's exemplars to a prefix of its selection.
+    X, top, seed = case
+    for method in SAMPLER_NAMES:
+        picks = sample(method, X, top, rng=RngState(seed)).ordered_indices
+        for m in range(1, top + 1):
+            assert sample(method, X, m, rng=RngState(seed)).ordered_indices == picks[:m]
 
 
 def blob_class(cid=0, seed=0):

@@ -59,3 +59,8 @@ class TestStatsCsv:
         path = tmp_path / "counts.csv"
         write_histogram_csv(path, stats)
         assert path.read_text() == "class,count\n0,2\n5,1\n"
+
+
+def test_label_count_must_match_image_count():
+    with pytest.raises(ValidationError, match="2 images but 1 labels"):
+        dataset_stats([np.zeros((1, 1, 1))] * 2, [0])

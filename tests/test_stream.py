@@ -187,3 +187,40 @@ class TestStreamFiles:
         path.write_text("{not json")
         with pytest.raises(FileFormatError):
             read_stream(path)
+
+
+def _read_latin1_csv(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"label,f0\n0,\xe9\n")
+    return read_dataset_csv(path)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda tmp: LabeledDataset(np.ones(3), [0, 0, 0]), ValidationError,
+                     "dataset needs 2-D points and 1-D labels", id="points_rank"),
+        pytest.param(lambda tmp: LabeledDataset(np.ones((3, 2)), [0, 0]), ValidationError,
+                     "3 points but 2 labels", id="label_count"),
+        pytest.param(_read_latin1_csv, FileFormatError, "cannot read .*latin1.csv",
+                     id="not_utf8"),
+    ],
+)
+def test_malformed_datasets_are_rejected(tmp_path, call, error, message):
+    with pytest.raises(error, match=message) as raised:
+        call(tmp_path)
+    assert raised.value.exit_code == (3 if error is FileFormatError else 2)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        pytest.param(dict(classes=4 * 10**6, tasks=1, class_size=3, imbalance_ratio=4.0, dims=1),
+                     "class 2666667 has size 1", id="millions_of_classes"),
+        pytest.param(dict(classes=4, tasks=2, per_class_sizes=(12, 0, 12, 1)),
+                     "class 1 has size 0", id="per_class_sizes"),
+    ],
+)
+def test_first_class_below_two_rows_is_named(fields, message):
+    with pytest.raises(ValidationError, match=f"^{message}; need >= 2 for a train/test split$"):
+        SyntheticStreamSpec(**fields)
