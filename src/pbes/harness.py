@@ -108,13 +108,21 @@ def _augment_task(train, class_ids, settings: AugmentSettings, rng: RngState):
     return np.vstack(points), np.concatenate(labels)
 
 
-def _run_budget(config: ExperimentConfig, stream: TaskStream, augmented) -> list[MetricsRow]:
-    """One budget's loop over a loaded stream; ``augmented`` lists each task's cut blocks."""
-    model = SoftmaxModel.empty(stream.dims)
-    memory = RehearsalMemory()
-    rows: list[MetricsRow] = []
-    accuracies: list[float] = []
+def _run_budgets(
+    config: ExperimentConfig, budgets: list[int], stream: TaskStream, augmented
+) -> list[list[MetricsRow]]:
+    """Every budget's loop over a loaded stream, in lockstep task by task; one
+    list of rows per budget, largest budget first. ``augmented`` lists each
+    task's cut blocks.
 
+    One :func:`train_task` call trains every budget's model. Each new class is
+    selected once, for the largest budget, and the others store a prefix of
+    its ranked picks. A task's wall time is the lockstep task's.
+    """
+    models = [SoftmaxModel.empty(stream.dims)] * len(budgets)
+    memories = [RehearsalMemory()] * len(budgets)
+    rows: list[list[MetricsRow]] = [[] for _ in budgets]
+    selections = {}
     for task_index, (task, extra) in enumerate(zip(stream.tasks, augmented), start=1):
         started = time.perf_counter()
         seen = stream.tasks[:task_index]
@@ -124,51 +132,43 @@ def _run_budget(config: ExperimentConfig, stream: TaskStream, augmented) -> list
             blocks = [(t.train.points, t.train.labels) for t in seen]
         else:
             blocks = [(task.train.points, task.train.labels), *extra]
+        class_ids = tuple(models[0].class_ids) + new_ids
+        batches = []
+        for memory in memories:
             # Replayed rows come last; memory is empty outside method mode.
             stored = memory.stored_points()
-            if stored is not None:
-                blocks.append(stored)
-        batch = TrainingBatch(
-            inputs=np.vstack([X for X, _ in blocks]),
-            labels=np.concatenate([y for _, y in blocks]),
-            class_ids=tuple(model.class_ids) + new_ids,
-        )
-        # Models are never mutated, so the previous model is the teacher.
-        teacher = model if config.mode == "method" else None
-        model = train_task(model, teacher, batch, config.loss)
+            own = blocks if stored is None else [*blocks, stored]
+            X, y = (np.concatenate(column) for column in zip(*own))
+            batches.append(TrainingBatch(inputs=X, labels=y, class_ids=class_ids))
+        # Models are never mutated, so the previous models are the teachers.
+        teachers = models if config.mode == "method" else [None] * len(models)
+        models = train_task(models, teachers, batches, config.loss)
 
-        if config.mode == "method" and config.memory_budget > 0:
-
-            def select(cid, rows, m):
+        def select(cid, points, m):
+            key = (task_index, cid)
+            if key not in selections:  # the largest budget asks first, for the most rows
                 rng = RngState(config.seed).derive("sampler", task_index, cid)
-                return sample(config.sampler, rows, m, rng=rng)
+                selections[key] = sample(config.sampler, points, m, rng=rng)
+            return replace(selections[key], ordered_indices=selections[key].ordered_indices[:m])
 
-            # Exemplars come from the original (never augmented) new-class rows.
-            memory = rebalance_memory(
-                memory,
-                {cid: task.train.rows_for(cid) for cid in new_ids},
-                config.memory_budget,
-                select,
-            )
+        # Exemplars come from the original (never augmented) new-class rows;
+        # only method mode has a positive budget.
+        new_rows = {cid: task.train.rows_for(cid) for cid in new_ids}
+        memories = [
+            rebalance_memory(memory, new_rows, budget, select) if budget else memory
+            for memory, budget in zip(memories, budgets)
+        ]
 
-        accuracy, macro_f1, gmean = evaluate(
-            model,
-            memory,
-            np.vstack([t.test.points for t in seen]),
-            np.concatenate([t.test.labels for t in seen]),
-            classifier=config.classifier,
-        )
-        accuracies.append(accuracy)
-        rows.append(
-            MetricsRow(
-                task_index=task_index,
-                accuracy=accuracy,
-                avg_accuracy=float(np.mean(accuracies)),
-                macro_f1=macro_f1,
-                gmean=gmean,
-                wall_ms=(time.perf_counter() - started) * 1000.0,
-            )
-        )
+        points = np.vstack([t.test.points for t in seen])
+        labels = np.concatenate([t.test.labels for t in seen])
+        scores = [
+            evaluate(model, memory, points, labels, classifier=config.classifier)
+            for model, memory in zip(models, memories)
+        ]
+        wall_ms = (time.perf_counter() - started) * 1000.0
+        for budget_rows, (accuracy, macro_f1, gmean) in zip(rows, scores):
+            average = float(np.mean([r.accuracy for r in budget_rows] + [accuracy]))
+            budget_rows.append(MetricsRow(task_index, accuracy, average, macro_f1, gmean, wall_ms))
     return rows
 
 
@@ -180,11 +180,12 @@ def run_experiment(config: ExperimentConfig) -> list[MetricsRow]:
 def sweep_budgets(
     config: ExperimentConfig, budgets: list[int]
 ) -> list[tuple[int, list[MetricsRow]]]:
-    """Run the experiment once per memory budget, ascending, deduplicated.
+    """Run the experiment once per memory budget, deduplicated; results ascend by budget.
 
     Every budget's config is built, and so validated, before the stream loads.
     Neither the stream nor a task's augmented block depends on the budget, so
-    both are made once and every budget's run trains on them.
+    both are made once, and the budgets run in lockstep on them
+    (:func:`_run_budgets`). A failure is the first in task order.
     """
     if not budgets:
         raise ValidationError("budget sweep needs at least one budget")
@@ -206,7 +207,9 @@ def sweep_budgets(
                            RngState(config.seed).derive("augment", task_index))]
             for task_index, task in enumerate(stream.tasks, start=1)
         ]
-    return [(b, _run_budget(configs[b], stream, augmented)) for b in sorted(configs)]
+    largest_first = sorted(configs, reverse=True)
+    rows = _run_budgets(config, largest_first, stream, augmented)
+    return list(zip(largest_first, rows))[::-1]
 
 
 SWEEP_HEADER = "M," + METRICS_HEADER

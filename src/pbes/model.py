@@ -6,7 +6,7 @@ task exists, a distillation term over the old classes at temperature T > 1 on
 every training row.
 The combined objective is ``beta * distill + (1 - beta) * cross_entropy``;
 both terms are sums over the batch, not means, so learning rates couple to
-batch size. Models are immutable values: training returns a new model.
+batch size. Models are immutable values: training returns new models.
 
 The training kernel folds the bias into its products, ``[W | b]`` times
 ``[X | 1]``, and works on (classes, rows) arrays: each softmax reduces down
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -174,12 +175,14 @@ def _gradient(Xa, Yt, Wa, qt, coefficients):
     Logits, targets and the gradient are (classes, rows) arrays, so each
     softmax reduces down columns. ``Yt`` holds the 0/1 labels and ``qt`` the
     teacher's softened distribution, or None when there is no teacher (beta
-    is then 0).
+    is then 0). A stack of problems adds a leading axis to ``Xa`` and ``Wa``
+    and a middle one to ``Yt``, ``qt`` and the logits, (classes, stack, rows).
     """
     temp, keep, weight = coefficients
-    z = Wa @ Xa.T
-    if z.size == 0:
+    zb = Wa @ Xa.mT
+    if zb.size == 0:
         raise ValidationError("softmax needs at least one logit")
+    z = zb if zb.ndim == 2 else zb.transpose(1, 0, 2)
     if qt is not None:
         p = z[: len(qt)] / temp  # a new array: the next line overwrites z
     _softmax_columns(z)
@@ -190,7 +193,7 @@ def _gradient(Xa, Yt, Wa, qt, coefficients):
         p -= qt
         p *= weight
         z[: len(qt)] += p
-    return z @ Xa
+    return zb @ Xa
 
 
 def _steps(
@@ -263,45 +266,78 @@ def _extend_for_new_classes(
     )
 
 
-def train_task(
-    model: SoftmaxModel,
-    teacher: SoftmaxModel | None,
-    data: TrainingBatch,
-    config: LossConfig,
-) -> SoftmaxModel:
-    """Gradient descent on the combined loss; returns a new model.
+def _plan(W, steps) -> list[tuple]:
+    """The ``(weight view, Xa, Yt, qt)`` of every step of one epoch.
 
-    New classes in the batch get zero-initialized rows before training, which
+    ``steps`` lists each problem's :func:`_steps`, longest batch first, and
+    ``W`` stacks their ``[W | b]`` in that order, so the problems with a slice
+    at an index are a prefix of ``W``. Neighbours whose slices share a shape
+    step as one stack; a problem alone steps on 2-D arrays.
+    """
+    plan = []
+    for s in range(len(steps[0])):
+        start = 0
+        live = [p[s] for p in steps if len(p) > s]
+        for _, group in groupby(live, key=lambda step: (step[0].shape, np.shape(step[2]))):
+            Xa, Yt, qt = zip(*group)
+            end = start + len(Xa)
+            if len(Xa) == 1:
+                plan.append((W[start], Xa[0], Yt[0], qt[0]))
+            else:
+                stacked_qt = None if qt[0] is None else np.stack(qt, axis=1)
+                plan.append((W[start:end], np.stack(Xa), np.stack(Yt, axis=1), stacked_qt))
+            start = end
+    return plan
+
+
+def train_task(
+    models: list[SoftmaxModel],
+    teachers: list[SoftmaxModel | None],
+    batches: list[TrainingBatch],
+    config: LossConfig,
+) -> list[SoftmaxModel]:
+    """Gradient descent on the combined loss for each (model, teacher, batch)
+    problem; returns one new model per problem, in order.
+
+    New classes in a batch get zero-initialized rows before training, which
     leaves old-class logits untouched at the task boundary. Mini-batches (if
     any) run in fixed slice order, so the whole procedure is deterministic.
+    The problems share class ids and train in lockstep (:func:`_plan`); each
+    result is bit for bit that of training its problem alone.
 
-    Inputs are validated once: ``data`` was checked when it was built, and
+    Inputs are validated once: each batch was checked when it was built, and
     :func:`_steps` builds every slice's fixed inputs before the first step,
     as :func:`loss_gradient` does for its one slice. Each step then runs
-    :func:`_gradient` on raw arrays and updates ``Wa = [W | b]`` in place,
-    and the finiteness of the parameters is checked once, after the last step.
+    :func:`_gradient` on raw arrays and updates ``[W | b]`` in place, and the
+    finiteness of the parameters is checked once, after the last step.
     """
-    model = _extend_for_new_classes(model, data.class_ids)
+    if len({batch.class_ids for batch in batches}) != 1:
+        raise ValidationError("problems trained together must share class ids")
+    models = [_extend_for_new_classes(m, b.class_ids) for m, b in zip(models, batches, strict=True)]
     if config.epochs == 0:
-        return model
-    Wa = np.hstack([model.weights, model.bias[:, None]])
+        return models
+    order = sorted(range(len(models)), key=lambda i: -len(batches[i]))
+    W = np.stack([np.hstack([models[i].weights, models[i].bias[:, None]]) for i in order])
     coefficients = _coefficients(config)
     rate = config.learning_rate
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = _steps(model, teacher, data, config, config.batch_size)
+        steps = [_steps(models[i], teachers[i], batches[i], config, config.batch_size)
+                 for i in order]
+        plan = _plan(W, steps)
         for _ in range(config.epochs):
-            for Xa, Yt, qt in steps:
+            for Wa, Xa, Yt, qt in plan:
                 g = _gradient(Xa, Yt, Wa, qt, coefficients)
                 g *= rate
                 Wa -= g
     # A non-finite entry stays non-finite under ``Wa -= rate * g``: inf - x
     # is inf or NaN and NaN stays NaN. So one check after the last step
     # raises exactly when a check after every step would.
-    if not np.isfinite(Wa).all():
+    if not np.isfinite(W).all():
         raise NumericalError(
             "training diverged to non-finite parameters; lower the learning rate"
         )
-    return SoftmaxModel(Wa[:, :-1].copy(), Wa[:, -1].copy(), data.class_ids)
+    ids = batches[0].class_ids
+    return [SoftmaxModel(W[j, :, :-1].copy(), W[j, :, -1].copy(), ids) for j in np.argsort(order)]
 
 
 def predict(model: SoftmaxModel, X, mode: str = "argmax", memory=None) -> np.ndarray:

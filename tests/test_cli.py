@@ -402,6 +402,17 @@ class TestSweep:
         assert blocks == ["800", "800", "1000", "1000", "1200", "1200", "1400", "1400"]
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--budgets", "4,8"]], ids=["run", "sweep"])
+def test_diverging_training_exits_4_and_writes_nothing(tmp_path, capsys, command):
+    config = minimal_config(tmp_path, loss={"learning_rate": 1e308, "epochs": 40})
+    out = tmp_path / "m.csv"
+    assert run_cli(*command, "--config", config, "--out", out) == 4
+    err = capsys.readouterr().err
+    assert "training diverged to non-finite parameters; lower the learning rate" in err
+    # Neither the CSV nor its .provenance.json sidecar is written.
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 class TestOverrides:
     def test_mode_override_flag(self, tmp_path):
         config = minimal_config(tmp_path, memory_budget=0)

@@ -336,10 +336,10 @@ def test_metrics_csv_pinned(name):
     assert csv.splitlines()[1:] == list(expected)
 
 
-def assert_blocks_match_single_runs(config):
+def assert_blocks_match_single_runs(config, budgets=(12, 4, 8)):
     """Each budget's block of a sweep's CSV equals that budget's single run."""
-    lines = format_sweep_rows(sweep_budgets(config, [12, 4, 8])).splitlines(True)
-    for budget in (4, 8, 12):
+    lines = format_sweep_rows(sweep_budgets(config, list(budgets))).splitlines(True)
+    for budget in sorted(budgets):
         single = format_metrics_rows(
             run_experiment(replace(config, memory_budget=budget))
         ).splitlines(True)[1:]
@@ -370,6 +370,54 @@ class TestSweep:
             tiny_config(stream=IMBALANCED_SPEC, classifier="ncm",
                         augment=AugmentSettings(enabled=True))
         )
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, dict(classifier="ncm", augment=AugmentSettings(enabled=True))],
+        ids=["argmax", "ncm_augmented"],
+    )
+    def test_mini_batch_blocks_match_single_runs(self, monkeypatch, overrides):
+        # Mini-batches of 4 on a 3-task stream. After task 1 the budgets'
+        # batches differ in length: full slices step as stacks, and ragged
+        # last slices step alone or in stacks of their own length.
+        import pbes.model as model
+
+        steps = []
+        real_gradient = model._gradient
+
+        def gradient(Xa, *args):
+            steps.append(Xa.shape[:-1])  # (rows,) alone, (stack, rows) stacked
+            return real_gradient(Xa, *args)
+
+        monkeypatch.setattr(model, "_gradient", gradient)
+        config = tiny_config(stream=MEMORY_SPEC, loss=fast_loss(batch_size=4, epochs=2),
+                             **overrides)
+        assert_blocks_match_single_runs(config, (30, 5, 20, 9))
+        stacked = {rows for *stack, rows in steps if stack}
+        alone = {rows for *stack, rows in steps if not stack}
+        assert 4 in stacked  # full slices
+        assert stacked - {4} and alone - {4}  # ragged last slices, stacked and alone
+
+    def test_one_selection_per_task_class(self, monkeypatch):
+        import pbes.harness as harness
+
+        requested = []
+        real_sample = harness.sample
+
+        def sample(method, X, m, rng=None):
+            requested.append(m)
+            return real_sample(method, X, m, rng=rng)
+
+        monkeypatch.setattr(harness, "sample", sample)
+        config = tiny_config(seed=5, stream=MEMORY_SPEC, loss=fast_loss(epochs=1))
+        results = sweep_budgets(config, [4, 8, 12, 20])
+        # Budget 20's quotas, capped by the class sizes (see PINNED_MEMORY);
+        # budget 4 gives task 3's classes a quota of 0, and no budget asks again.
+        assert requested == [8, 7, 5, 5, 3, 2]
+        monkeypatch.undo()
+        for budget, rows in results:
+            single = run_experiment(replace(config, memory_budget=budget))
+            assert format_metrics_rows(rows) == format_metrics_rows(single)
 
     def test_stream_loaded_and_tasks_augmented_once(self, monkeypatch):
         import pbes.harness as harness

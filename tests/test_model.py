@@ -31,6 +31,12 @@ from oracles import (
 )
 
 
+def train_one(model, teacher, batch, config):
+    """``train_task`` on one problem."""
+    [out] = train_task([model], [teacher], [batch], config)
+    return out
+
+
 def random_instance(gen, n_classes=None, n_old=None, n=None, d=None):
     n = n or int(gen.integers(1, 6))
     d = d or int(gen.integers(1, 4))
@@ -215,7 +221,7 @@ class TestTrainTask:
         gen = np.random.default_rng(5)
         batch, model, _ = random_instance(gen)
         config = LossConfig(epochs=0)
-        out = train_task(model, None, batch, config)
+        out = train_one(model, None, batch, config)
         assert out is model
 
     def test_separable_blobs_reach_full_accuracy(self):
@@ -226,7 +232,7 @@ class TestTrainTask:
         labels = [0] * 10 + [1] * 10
         ids = (0, 1)
         batch = TrainingBatch(X, np.array(labels), ids)
-        model = train_task(
+        model = train_one(
             SoftmaxModel.empty(2), None, batch,
             LossConfig(learning_rate=0.1, epochs=200),
         )
@@ -242,7 +248,7 @@ class TestTrainTask:
         model = SoftmaxModel(np.zeros((2, 2)), np.zeros(2), ids)
         losses = [cross_entropy_loss(batch, model)]
         for _ in range(60):
-            model = train_task(model, None, batch, config)
+            model = train_one(model, None, batch, config)
             losses.append(cross_entropy_loss(batch, model))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -251,7 +257,7 @@ class TestTrainTask:
         batch, model, teacher = random_instance(gen)
         w_before = teacher.weights.copy()
         b_before = teacher.bias.copy()
-        train_task(model, teacher, batch, LossConfig(epochs=5, learning_rate=0.01))
+        train_one(model, teacher, batch, LossConfig(epochs=5, learning_rate=0.01))
         assert np.array_equal(teacher.weights, w_before)
         assert np.array_equal(teacher.bias, b_before)
 
@@ -261,7 +267,7 @@ class TestTrainTask:
         X = gen.normal(size=(4, 3))
         ids = (0, 1, 2, 3)
         batch = TrainingBatch(X, np.array([0, 1, 2, 3]), ids)
-        out = train_task(old, None, batch, LossConfig(epochs=0))
+        out = train_one(old, None, batch, LossConfig(epochs=0))
         assert out.class_ids == ids
         assert np.array_equal(out.weights[:2], old.weights)
         assert not out.weights[2:].any()
@@ -271,7 +277,7 @@ class TestTrainTask:
         old = SoftmaxModel(np.ones((2, 1)), np.zeros(2), (0, 1))
         batch = TrainingBatch(np.ones((1, 1)), np.array([1]), (1, 0))
         with pytest.raises(ValidationError):
-            train_task(old, None, batch, LossConfig())
+            train_one(old, None, batch, LossConfig())
 
     @pytest.mark.parametrize(
         "teacher_ids, message",
@@ -286,7 +292,7 @@ class TestTrainTask:
         teacher = SoftmaxModel(np.ones((k, 2)), np.zeros(k), teacher_ids)
         batch = TrainingBatch(np.ones((2, 2)), np.array([0, 1]), ids)
         with pytest.raises(ValidationError, match=message) as raised:
-            train_task(SoftmaxModel.empty(2), teacher, batch, LossConfig(epochs=1))
+            train_one(SoftmaxModel.empty(2), teacher, batch, LossConfig(epochs=1))
         assert raised.value.exit_code == 2
 
     def test_overflow_raises_numerical_error(self):
@@ -294,7 +300,7 @@ class TestTrainTask:
         ids = (0, 1)
         batch = TrainingBatch(X, np.array([0, 1]), ids)
         with pytest.raises(NumericalError):
-            train_task(
+            train_one(
                 SoftmaxModel.empty(1), None, batch,
                 LossConfig(learning_rate=1e306, epochs=3),
             )
@@ -306,8 +312,8 @@ class TestTrainTask:
         ids = (0, 1)
         batch = TrainingBatch(X, labels, ids)
         config = LossConfig(learning_rate=0.01, epochs=20, batch_size=3)
-        a = train_task(SoftmaxModel.empty(2), None, batch, config)
-        b = train_task(SoftmaxModel.empty(2), None, batch, config)
+        a = train_one(SoftmaxModel.empty(2), None, batch, config)
+        b = train_one(SoftmaxModel.empty(2), None, batch, config)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
 
@@ -422,11 +428,11 @@ class TestTrainTaskMatchesReference:
     @example(BENCHMARK_PROBLEMS[2])
     def test_bit_identical(self, problem):
         model, teacher, batch, config = problem
-        fast = _outcome(train_task, model, teacher, batch, config)
+        fast = _outcome(train_one, model, teacher, batch, config)
         assert fast is not NumericalError
         assert fast == _outcome(train_task_reference, model, teacher, batch, config)
         diverging = replace(config, learning_rate=1e308)
-        assert _outcome(train_task, model, teacher, batch, diverging) == _outcome(
+        assert _outcome(train_one, model, teacher, batch, diverging) == _outcome(
             train_task_reference, model, teacher, batch, diverging
         )
 
@@ -438,7 +444,7 @@ class TestTrainTaskMatchesReference:
         )
         teacher = SoftmaxModel(np.ones((2, 3)), np.zeros(2), ids[:2])
         config = LossConfig(learning_rate=1e308, epochs=3)
-        for train in (train_task, train_task_reference):
+        for train in (train_one, train_task_reference):
             with pytest.raises(NumericalError):
                 train(teacher, teacher, batch, config)
 
@@ -454,8 +460,8 @@ class TestTrainTaskMatchesReference:
         assert _outcome(train_task_reference, teacher, teacher, batch, first) is NumericalError
         config = replace(first, epochs=4)
         with pytest.raises(NumericalError, match="^training diverged to non-finite parameters"):
-            train_task(teacher, teacher, batch, config)
-        assert _outcome(train_task, teacher, teacher, batch, config) == _outcome(
+            train_one(teacher, teacher, batch, config)
+        assert _outcome(train_one, teacher, teacher, batch, config) == _outcome(
             train_task_reference, teacher, teacher, batch, config
         )
 
@@ -467,11 +473,93 @@ class TestTrainTaskMatchesReference:
         for teacher in (None, old):
             for batch_size in (0, 3):
                 config = LossConfig(epochs=2, batch_size=batch_size)
-                for train in (train_task, train_task_reference):
+                for train in (train_one, train_task_reference):
                     with pytest.raises(ValidationError, match="at least one logit"):
                         train(model, teacher, batch, config)
                 with pytest.raises(ValidationError, match="at least one logit"):
                     loss_gradient(batch, model, teacher, config)
+
+
+@st.composite
+def lockstep_problems(draw):
+    """1 to 4 problems over one list of class ids, as a sweep's budgets train a
+    task, with one shared config. Row counts differ, so mini-batches leave
+    ragged last slices; each problem's model knows a prefix of the ids and
+    its teacher, if any, a prefix of the model's."""
+    d = draw(st.integers(1, 4))
+    ids = tuple(range(draw(st.integers(1, 10))))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    problems = []
+    for n in draw(st.lists(st.integers(1, 24), min_size=1, max_size=4)):
+        batch = TrainingBatch(
+            _on_grid(gen.normal(scale=1.5, size=(n, d))), gen.integers(0, len(ids), size=n), ids
+        )
+        k_model = draw(st.integers(0, len(ids)))
+        model = SoftmaxModel(
+            _on_grid(gen.normal(size=(k_model, d))), _on_grid(gen.normal(size=k_model)),
+            ids[:k_model],
+        )
+        k_teacher = draw(st.integers(0, k_model))
+        teacher = draw(st.sampled_from([
+            None,
+            model,
+            SoftmaxModel(_on_grid(gen.normal(size=(k_teacher, d))),
+                         _on_grid(gen.normal(size=k_teacher)), ids[:k_teacher]),
+        ]))
+        problems.append((model, teacher, batch))
+    most = max(len(batch) for _, _, batch in problems)
+    config = LossConfig(
+        temperature=draw(st.sampled_from([1.5, 2.0, 3.0])),
+        beta=draw(st.floats(0.0, 1.0)),
+        learning_rate=draw(st.sampled_from([1e-3, 0.05, 0.5])),
+        epochs=draw(st.integers(1, 3)),
+        batch_size=draw(st.one_of(
+            st.just(0), st.just(1), st.integers(1, max(1, most - 1)),
+            st.integers(most, most + 3),
+        )),
+    )
+    return problems, config
+
+
+# The CLI sweep's shape: d=8, ten classes, eight of them old, slices of 16
+# rows; 97 rows leave one-row last slices, whose softmax sums 10 classes.
+SWEEP_PROBLEMS = (
+    [_fixed_problem(8, 2, n, batch_size=16, seed=20 + n, d=8)[:3] for n in (112, 97, 97, 80)],
+    LossConfig(temperature=2.0, beta=0.5, learning_rate=0.05, epochs=2, batch_size=16),
+)
+
+
+class TestLockstepTrainingMatchesReference:
+    """train_task on several problems returns, for each, the reference's
+    result on that problem alone; it raises when any of them diverges."""
+
+    @staticmethod
+    def _check(problems, config):
+        expected = [_outcome(train_task_reference, *problem, config) for problem in problems]
+        models, teachers, batches = (list(column) for column in zip(*problems))
+        try:
+            trained = train_task(models, teachers, batches, config)
+        except NumericalError as exc:
+            assert str(exc) == "training diverged to non-finite parameters; lower the learning rate"
+            assert NumericalError in expected
+        else:
+            assert [
+                (out.class_ids, out.weights.tobytes(), out.bias.tobytes()) for out in trained
+            ] == expected
+
+    @given(lockstep_problems())
+    @example(SWEEP_PROBLEMS)
+    def test_bit_identical(self, case):
+        problems, config = case
+        self._check(problems, config)
+        self._check(problems, replace(config, learning_rate=1e308))
+
+    def test_class_ids_must_match(self):
+        batches = [
+            TrainingBatch(np.ones((2, 1)), np.array([0, 1]), ids) for ids in ((0, 1), (1, 0))
+        ]
+        with pytest.raises(ValidationError, match="must share class ids"):
+            train_task([SoftmaxModel.empty(1)] * 2, [None] * 2, batches, LossConfig())
 
 
 class TestLossGradientMatchesReference:
@@ -554,11 +642,11 @@ SPECIAL_VALUES = (0.0, -0.0, 1.0, -2.5, np.inf, -np.inf, np.nan, 1e300, 5e-324)
 
 
 @st.composite
-def class_major_arrays(draw):
+def class_major_arrays(draw, classes=st.integers(1, 300), rows=st.integers(1, 5)):
     """(classes, rows) arrays: Gaussian, tie-heavy with signed zeros, or
     special values (zeros, infinities, NaN) among Gaussian ones."""
-    k = draw(st.integers(1, 300))
-    n = draw(st.integers(1, 5))
+    k = draw(classes)
+    n = draw(rows)
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["gaussian", "ties", "specials"]))
     E = gen.normal(scale=draw(st.sampled_from([0.1, 3.0, 200.0])), size=(k, n))
@@ -568,6 +656,13 @@ def class_major_arrays(draw):
         picks = gen.random((k, n)) < 0.3
         E[picks] = gen.choice(np.array(SPECIAL_VALUES), size=picks.sum())
     return E
+
+
+@st.composite
+def class_major_stacks(draw):
+    """(stack, classes, rows) arrays: 2 to 4 of class_major_arrays() of one shape."""
+    shape = st.just(draw(st.integers(1, 300))), st.just(draw(st.integers(1, 5)))
+    return np.stack([draw(class_major_arrays(*shape)) for _ in range(draw(st.integers(2, 4)))])
 
 
 def _bits(a):
@@ -593,6 +688,19 @@ class TestNumpyColumnSumOrder:
     def test_column_sums_equal_the_transposed_row_sums(self, E):
         with np.errstate(invalid="ignore", over="ignore"):
             assert _bits(np.add.reduce(E, axis=0)) == _bits(E.T.sum(axis=-1))
+
+    @given(class_major_stacks())
+    @example(np.full((3, 129, 1), -0.0))
+    @example(1.0 / np.arange(1.0, 31.0).reshape(3, 10, 1))
+    @example(1.0 / np.arange(1.0, 37.0).reshape(4, 9, 1))
+    @example(1.0 / np.arange(1.0, 793.0).reshape(2, 132, 3))
+    def test_stacked_reductions_equal_each_problems_own(self, Z):
+        # A stacked kernel step reduces the (classes, stack, rows) view of its
+        # (stack, classes, rows) logits; one problem reduces its own (classes, rows).
+        with np.errstate(invalid="ignore", over="ignore"):
+            for reduce in (np.maximum.reduce, np.add.reduce):
+                stacked = reduce(Z.transpose(1, 0, 2), axis=0)
+                assert [_bits(r) for r in stacked] == [_bits(reduce(E, axis=0)) for E in Z]
 
     @given(class_major_arrays(), st.sampled_from([1.0, 1.5, 2.0, 3.7]))
     def test_softmax_equals_the_row_softmax_of_the_transpose(self, E, temperature):
@@ -707,8 +815,8 @@ class TestLabelEncoding:
             loss_gradient(renamed, same, None, config),
         ):
             assert np.array_equal(a, b)
-        trained = train_task(model, None, permuted, config)
-        reference = train_task(same, None, renamed, config)
+        trained = train_one(model, None, permuted, config)
+        reference = train_one(same, None, renamed, config)
         assert np.array_equal(trained.weights, reference.weights)
 
 
